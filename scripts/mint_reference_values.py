@@ -48,6 +48,12 @@ def main():
         rising *= (s0 + 2 * k - 1) * (s0 + 2 * k)
     assert abs(em - z) < mp.mpf(10) ** -25, (em, z)
     print("ZETA_AT_ETA_DENOM_ZERO = complex(%s, %s)" % (fmt(z.real), fmt(z.imag)))
+    # reflected points past |Im s| ~ 452, where sin(pi s/2) leaves double range
+    print("ZETA_REFLECTED_HIGH = (")
+    for s0 in ((0.3, 600.0), (-0.5, 1000.0), (0.2, -455.0)):
+        z = mp.zeta(mp.mpc(*s0))
+        print("    (complex%r, complex(%s, %s))," % (s0, fmt(z.real), fmt(z.imag)))
+    print(")")
     ctilde = mp.pi ** (-mp.mpf(1) / 4) * mp.gamma(mp.mpf(1) / 4) * mp.zeta(mp.mpf(1) / 2)
     print("COMPLETED_HALF =", fmt(ctilde))
 
@@ -91,6 +97,7 @@ def main():
     print("# counts")
     n100 = sum(1 for k in range(1, 40) if mp.zetazero(k).imag < 100)
     print("ZEROS_BELOW_100 =", n100)
+    print("ZEROS_BELOW_1000 =", mp.nzeros(1000))
 
 
 if __name__ == "__main__":

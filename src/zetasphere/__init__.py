@@ -25,12 +25,13 @@ from .zeta import (
     eta_eval,
     even_limit_probe,
     even_zeta_rational,
+    f_factor,
     functional_rhs,
     laurent_eval,
     stieltjes_gamma,
     zeta_eval,
 )
-from .modulus import ModulusBreakdown, criterion_ratio, f_abs_closed, f_abs_dx, f_factor, gamma_abs_dx
+from .modulus import ModulusBreakdown, criterion_ratio, f_abs_closed, f_abs_dx, gamma_abs_dx
 from .zeros import Rectangle, ZeroRecord, count_zeros_rectangle, refine_zero, scan_zeros, z_real
 from .sphere import (
     INFINITY,

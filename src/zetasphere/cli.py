@@ -15,10 +15,9 @@ import sys
 from . import mero, modulus, zeros
 from .config import load_config
 from .errors import ZetasphereError
-from .report import DISCREPANCY
 from .specfun import digamma, gamma
-from .verify import run_suite
-from .zeta import completed_zeta, eta_eval, zeta_eval
+from .verify import FIRST_ZERO_BRACKET, PAPER_ANCHOR, PAPER_ORDINATE, run_suite
+from .zeta import completed_zeta, eta_eval, f_factor, zeta_eval
 
 CSV_HEADER = zeros.CSV_HEADER
 
@@ -26,15 +25,11 @@ _EVAL_FUNCTIONS = {
     "zeta": lambda s: zeta_eval(s),
     "eta": lambda s: eta_eval(s),
     "completed": lambda s: completed_zeta(s),
-    "f": lambda s: modulus.f_factor(s),
+    "f": lambda s: f_factor(s),
     "f_abs": lambda s: complex(modulus.f_abs_closed(s).product),
     "gamma": lambda s: gamma(s),
     "digamma": lambda s: digamma(s),
 }
-
-_PAPER_ORDINATE = 14.1347
-_PAPER_ANCHOR = -0.05438
-
 
 def parse_complex(text: str) -> complex:
     """Accept '2', '-1.5', '0.5+14.13i', '1-2i', 'i', '3i' (i or j)."""
@@ -75,7 +70,7 @@ def _cmd_eval(args, cfg) -> int:
         print(_format_complex(value))
         if args.function == "completed" and abs(s - 0.5) < 1e-9:
             print(
-                "note: discrepancy-flag: the source text prints -0.05438 here, "
+                f"note: discrepancy-flag: the source text prints {PAPER_ANCHOR} here, "
                 "which follows from its misprinted pi^(-1/4); the defining "
                 "product evaluates to the value above"
             )
@@ -83,7 +78,7 @@ def _cmd_eval(args, cfg) -> int:
 
 
 def _cmd_zeros(args, cfg) -> int:
-    records = zeros.scan_zeros(args.t_from, args.t_to, args.step, workers=args.workers)
+    records = zeros.scan_zeros(args.t_from, args.t_to, args.step)
     if args.out and args.out.endswith(".json"):
         payload = zeros.records_to_json(records)
     else:
@@ -111,14 +106,14 @@ def _cmd_verify(args, cfg) -> int:
 
 def _cmd_extend(args, cfg) -> int:
     if args.paper_anchor:
-        ordinate = args.ordinate if args.ordinate is not None else _PAPER_ORDINATE
-        anchor = _PAPER_ANCHOR
+        ordinate = args.ordinate if args.ordinate is not None else PAPER_ORDINATE
+        anchor = PAPER_ANCHOR
         anchor_source = "printed inputs"
     else:
         ordinate = (
             args.ordinate
             if args.ordinate is not None
-            else zeros.refine_zero((14.0, 14.3)).ordinate
+            else zeros.refine_zero(FIRST_ZERO_BRACKET).ordinate
         )
         anchor = completed_zeta(0.5 + 0j).real
         anchor_source = "computed completed zeta at 1/2"
@@ -128,7 +123,7 @@ def _cmd_extend(args, cfg) -> int:
     params["anchor_source"] = anchor_source
     params["ordinate"] = ordinate
     params["riemann_hurwitz_ok"] = mero.riemann_hurwitz_check(bd, 2, 2)
-    c_paper = mero.build_zeta_hat(_PAPER_ORDINATE, _PAPER_ANCHOR)[0].constant.real
+    c_paper = mero.build_zeta_hat(PAPER_ORDINATE, PAPER_ANCHOR)[0].constant.real
     c_computed = mero.build_zeta_hat(ordinate, completed_zeta(0.5 + 0j).real)[0].constant.real
     params["variants"] = {
         "paper_inputs_c": c_paper,
@@ -136,7 +131,7 @@ def _cmd_extend(args, cfg) -> int:
         "flags": [
             "discrepancy-flag: source prints c ~ 6.8046; its own inputs give "
             f"{c_paper:.6e} (1e-5 factor missing)",
-            "discrepancy-flag: source prints completed zeta(1/2) ~ -0.05438; "
+            f"discrepancy-flag: source prints completed zeta(1/2) ~ {PAPER_ANCHOR}; "
             f"the defining product gives {completed_zeta(0.5 + 0j).real:.6f}",
         ],
     }
@@ -148,7 +143,7 @@ def _cmd_extend(args, cfg) -> int:
         print(f"divisor: {mero.principal_divisor(rmap)}")
         print(f"degree {bd.degree}, ramification {[(str(p), e) for p, e in bd.ramification]}, b = {bd.total_b}")
         print(f"riemann-hurwitz 2 = 2*deg - b: {'pass' if params['riemann_hurwitz_ok'] else 'fail'}")
-        print(f"variant c (paper inputs 14.1347, -0.05438): {c_paper:.6e}")
+        print(f"variant c (paper inputs {PAPER_ORDINATE}, {PAPER_ANCHOR}): {c_paper:.6e}")
         print(f"variant c (computed anchor): {c_computed:.6e}")
         for line in params["variants"]["flags"]:
             print("note:", line)
@@ -204,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="t_to", type=float, required=True)
     p.add_argument("--step", type=float, default=None)
     p.add_argument("--out", help="output path (.csv or .json); stdout CSV otherwise")
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(handler=_cmd_zeros)
 
     p = sub.add_parser("verify", help="run a named verification suite")
@@ -217,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="build the rational extension of the completed zeta")
     p.add_argument("--ordinate", type=float, default=None, help="zero-pair ordinate t0 > 0")
     p.add_argument("--paper-anchor", action="store_true",
-                   help="use the printed inputs (t0=14.1347, anchor=-0.05438)")
+                   help=f"use the printed inputs (t0={PAPER_ORDINATE}, anchor={PAPER_ANCHOR})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_extend)
 
@@ -235,17 +229,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.command == "zeros":
-            if args.step is None:
-                args.step = cfg.scan_step
-            if args.workers is None:
-                args.workers = cfg.workers
+        if args.command == "zeros" and args.step is None:
+            args.step = cfg.scan_step
         return args.handler(args, cfg)
     except ZetasphereError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # exit 1 means "verification failed", never a crash
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

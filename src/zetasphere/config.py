@@ -18,19 +18,14 @@ ENV_VAR = "ZETASPHERE_CONFIG"
 
 @dataclass(frozen=True)
 class RunConfig:
-    tolerance: float = 1e-12
-    max_terms: int = 1_000_000
-    scan_from: float = 0.0
-    scan_to: float = 50.0
     scan_step: float = 0.25
-    workers: int = 1
 
     def digest(self) -> str:
         return config_digest({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 def parse_config_text(text: str) -> dict:
-    known = {f.name: f.type for f in fields(RunConfig)}
+    known = {f.name for f in fields(RunConfig)}
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -41,9 +36,8 @@ def parse_config_text(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise DomainError(f"config line {lineno}: unknown key {key!r}")
-        caster = int if key in ("max_terms", "workers") else float
         try:
-            out[key] = caster(value)
+            out[key] = float(value)
         except ValueError as exc:
             raise DomainError(f"config line {lineno}: bad value for {key}: {value!r}") from exc
     return out

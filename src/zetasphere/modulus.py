@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, PoleError
+from .errors import DomainError
 from .report import VerificationItem, make_item
-from .specfun import POLE_WINDOW, gamma, psi_pair
-from .zeta import zeta_eval
+from .specfun import gamma, psi_pair
+from .zeta import f_factor, zeta_eval
 
 CRITERION_SAMPLES = 8
 
@@ -46,16 +46,6 @@ def _require_strip(s: complex, who: str) -> None:
 def _bracket(x: float, y: float) -> float:
     """e^(-pi y) + e^(pi y) + 2 (2 sin^2(pi x / 2) - 1)."""
     return 2.0 * math.cosh(math.pi * y) + 2.0 * (2.0 * math.sin(math.pi * x / 2) ** 2 - 1.0)
-
-
-def f_factor(s: complex) -> complex:
-    """The functional-equation factor f(s) itself."""
-    s = complex(s)
-    if abs(s.imag) <= POLE_WINDOW:
-        r = round(s.real)
-        if r >= 1 and abs(s.real - r) <= POLE_WINDOW:
-            raise PoleError(float(r), index=r - 1)
-    return 2**s * math.pi ** (s - 1) * cmath.sin(math.pi * s / 2) * gamma(1 - s)
 
 
 def f_abs_closed(s: complex) -> ModulusBreakdown:

@@ -14,11 +14,11 @@ import os
 import time
 from dataclasses import dataclass, field
 
+from . import __version__
+
 PASS = "pass"
 FAIL = "fail"
 DISCREPANCY = "discrepancy-flag"
-
-_VERSION = "0.1.0"
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class VerificationReport:
     @classmethod
     def build(cls, items: list[VerificationItem], config_digest: str) -> "VerificationReport":
         meta = {
-            "version": _VERSION,
+            "version": __version__,
             "timestamp": _timestamp(),
             "config_digest": config_digest,
         }

@@ -8,7 +8,6 @@ written, report conflicts, never silently repair).
 
 from __future__ import annotations
 
-import cmath
 import math
 
 from . import flow, mero, modulus, sphere, zeros
@@ -52,7 +51,29 @@ TABLE1 = {
     20: (174611, 1531329465290625),
 }
 
-_FIRST_ORDINATE_BRACKET = (14.0, 14.3)
+# the first critical-line zero: a sign-change bracket for refine_zero, and
+# its ordinate to double precision for the divisor fixtures
+FIRST_ZERO_BRACKET = (14.0, 14.3)
+_T0 = 14.134725141734694
+# the printed inputs of the extension: zero ordinate and completed zeta at 1/2
+PAPER_ORDINATE = 14.1347
+PAPER_ANCHOR = -0.05438
+
+# the homotopy divisor of eq47: four off-line zeros, the first zero pair,
+# the poles at 0 and 1, and -4 at infinity
+_EQ47 = mero.Divisor(
+    {
+        complex(0.2, 5): 1,
+        complex(0.8, 5): 1,
+        complex(0.2, -5): 1,
+        complex(0.8, -5): 1,
+        complex(0.5, _T0): 1,
+        complex(0.5, -_T0): 1,
+        0j: -1,
+        1 + 0j: -1,
+        sphere.INFINITY: -4,
+    }
+)
 
 
 def _strip_grid(n_x: int, n_y: int, y_max: float):
@@ -70,10 +91,17 @@ def _strip_grid(n_x: int, n_y: int, y_max: float):
     return pts
 
 
+def _critical_line_unity_deviation() -> float:
+    """max | |f(1/2+iy)| - 1 | over 200 midpoints of |y| <= 50."""
+    return max(
+        abs(modulus.f_abs_product(complex(0.5, -50 + 100 * (j + 0.5) / 200)) - 1.0) for j in range(200)
+    )
+
+
 # ---------------------------------------------------------------------------
 
 
-def suite_table1(cfg: RunConfig) -> list[VerificationItem]:
+def suite_table1() -> list[VerificationItem]:
     items = []
     for k, (num, den) in TABLE1.items():
         alpha = even_zeta_rational(k)
@@ -87,7 +115,7 @@ def suite_table1(cfg: RunConfig) -> list[VerificationItem]:
     return items
 
 
-def suite_functional(cfg: RunConfig) -> list[VerificationItem]:
+def suite_functional() -> list[VerificationItem]:
     items = []
     grid = _strip_grid(10, 20, 20.0)
     worst_fe = 0.0
@@ -148,7 +176,7 @@ def suite_functional(cfg: RunConfig) -> list[VerificationItem]:
     return items
 
 
-def suite_gamma(cfg: RunConfig) -> list[VerificationItem]:
+def suite_gamma() -> list[VerificationItem]:
     items = []
     worst = 0.0
     for i in range(10):
@@ -199,7 +227,7 @@ def suite_gamma(cfg: RunConfig) -> list[VerificationItem]:
     return items
 
 
-def suite_modulus(cfg: RunConfig) -> list[VerificationItem]:
+def suite_modulus() -> list[VerificationItem]:
     items = []
     grid = _strip_grid(15, 20, 20.0)
     worst = 0.0
@@ -212,11 +240,9 @@ def suite_modulus(cfg: RunConfig) -> list[VerificationItem]:
     items.append(make_item("modulus/two-route |f| max rel (300-pt strip grid)", 0.0, worst, 1e-10))
     items.append(make_item("modulus/strip bounds 1<|2^s|<2, 1/pi<|pi^(s-1)|<1", 1.0, float(bounds_ok), 0.5))
 
-    worst = 0.0
-    for j in range(200):
-        y = -50 + 100 * (j + 0.5) / 200
-        worst = max(worst, abs(modulus.f_abs_product(complex(0.5, y)) - 1.0))
-    items.append(make_item("modulus/critical-line |f|=1 max deviation (200 pts)", 0.0, worst, 1e-10))
+    items.append(
+        make_item("modulus/critical-line |f|=1 max deviation (200 pts)", 0.0, _critical_line_unity_deviation(), 1e-10)
+    )
 
     h = 1e-5
     tol = max(1e-6, 10 * h * h)
@@ -253,13 +279,12 @@ def suite_modulus(cfg: RunConfig) -> list[VerificationItem]:
     return items
 
 
-def suite_critical_line(cfg: RunConfig) -> list[VerificationItem]:
-    items = []
-    worst = 0.0
-    for j in range(200):
-        y = -50 + 100 * (j + 0.5) / 200
-        worst = max(worst, abs(modulus.f_abs_product(complex(0.5, y)) - 1.0))
-    items.append(make_item("critical-line/|f(1/2+iy)|=1 max deviation (200 pts, |y|<=50)", 0.0, worst, 1e-10))
+def suite_critical_line() -> list[VerificationItem]:
+    items = [
+        make_item(
+            "critical-line/|f(1/2+iy)|=1 max deviation (200 pts, |y|<=50)", 0.0, _critical_line_unity_deviation(), 1e-10
+        )
+    ]
 
     worst = 0.0
     for t in (2.5, 7.0, 10.5, 17.3, 28.4, 47.1):
@@ -269,7 +294,7 @@ def suite_critical_line(cfg: RunConfig) -> list[VerificationItem]:
         worst = max(worst, abs(a - b) / a)
     items.append(make_item("critical-line/|zeta(s)|=|zeta(1-s)| max rel on line", 0.0, worst, 1e-12))
 
-    first = zeros.refine_zero(_FIRST_ORDINATE_BRACKET)
+    first = zeros.refine_zero(FIRST_ZERO_BRACKET)
     items.append(make_item("criterion/first zero ratio = 1", 1.0, first.criterion, 1e-6))
     items.append(
         make_item("criterion/generic on-line point t=10", 1.0, modulus.criterion_ratio(complex(0.5, 10), 1e-4), 1e-6)
@@ -286,26 +311,11 @@ def suite_critical_line(cfg: RunConfig) -> list[VerificationItem]:
     return items
 
 
-def suite_divisors(cfg: RunConfig) -> list[VerificationItem]:
+def suite_divisors() -> list[VerificationItem]:
     items = []
-    t0 = 14.134725141734694
-    z_up, z_dn = complex(0.5, t0), complex(0.5, -t0)
-    eq26 = mero.Divisor({z_up: 1, z_dn: 1, 0j: -1, 1 + 0j: -1})
+    eq26 = mero.Divisor({complex(0.5, _T0): 1, complex(0.5, -_T0): 1, 0j: -1, 1 + 0j: -1})
     items.append(make_item("divisor/deg(eq26) = 0", 0.0, float(mero.divisor_degree(eq26)), 0.0))
-    eq47 = mero.Divisor(
-        {
-            complex(0.2, 5): 1,
-            complex(0.8, 5): 1,
-            complex(0.2, -5): 1,
-            complex(0.8, -5): 1,
-            z_up: 1,
-            z_dn: 1,
-            0j: -1,
-            1 + 0j: -1,
-            sphere.INFINITY: -4,
-        }
-    )
-    items.append(make_item("divisor/deg(eq47 homotopy divisor) = 0", 0.0, float(mero.divisor_degree(eq47)), 0.0))
+    items.append(make_item("divisor/deg(eq47 homotopy divisor) = 0", 0.0, float(mero.divisor_degree(_EQ47)), 0.0))
 
     f = mero.RationalMap(constant=2 - 1j, zeros=((1j, 2), (3 + 0j, 1)), poles=((-1 + 0j, 1), (2 - 2j, 1)))
     pf = mero.partial_fractions(f)
@@ -336,9 +346,9 @@ def suite_divisors(cfg: RunConfig) -> list[VerificationItem]:
     return items
 
 
-def suite_hurwitz(cfg: RunConfig) -> list[VerificationItem]:
+def suite_hurwitz() -> list[VerificationItem]:
     items = []
-    first = zeros.refine_zero(_FIRST_ORDINATE_BRACKET)
+    first = zeros.refine_zero(FIRST_ZERO_BRACKET)
     anchor = completed_zeta(0.5 + 0j).real
     rmap, bd = mero.build_zeta_hat(first.ordinate, anchor)
 
@@ -368,7 +378,7 @@ def suite_hurwitz(cfg: RunConfig) -> list[VerificationItem]:
     crit = mero.critical_points(rmap)
     items.append(make_item("zetahat/unique finite critical point at 1/2", 0.5, crit[0][0].real if len(crit) == 1 else math.inf, 1e-9))
 
-    c_paper = mero.build_zeta_hat(14.1347, complex(-0.05438))[0].constant.real
+    c_paper = mero.build_zeta_hat(PAPER_ORDINATE, complex(PAPER_ANCHOR))[0].constant.real
     target_paper_inputs = 6.8046535931673308e-5
     items.append(make_item("zetahat/c from paper inputs", target_paper_inputs, c_paper, 1e-9 * target_paper_inputs))
     items.append(flag_item("paper-claim/c printed as 6.8046 (1e-5 factor missing)", 6.8046, c_paper, 1e-3))
@@ -376,12 +386,12 @@ def suite_hurwitz(cfg: RunConfig) -> list[VerificationItem]:
     items.append(make_item("zetahat/c from computed anchor", 0.0049764217074871865, c_computed, 1e-8 * 0.0049764217074871865))
 
     items.append(make_item("completed/value at 1/2 vs multiprecision", -3.9769662255065129, anchor, 1e-10))
-    items.append(flag_item("paper-claim/completed zeta at 1/2 printed -0.05438", -0.05438, anchor, 1e-3))
+    items.append(flag_item("paper-claim/completed zeta at 1/2 printed -0.05438", PAPER_ANCHOR, anchor, 1e-3))
     items.append(flag_item("paper-claim/pi^(-1/4) printed 102.87e-4", 102.87e-4, math.pi ** -0.25, 1e-3))
     return items
 
 
-def suite_flow(cfg: RunConfig) -> list[VerificationItem]:
+def suite_flow() -> list[VerificationItem]:
     items = []
     pts = [complex(0.03 + 0.094 * k, -8 + 1.7 * k) for k in range(11)]
     p0 = flow.FlowParams(a=0.2, t=0.0)
@@ -402,21 +412,7 @@ def suite_flow(cfg: RunConfig) -> list[VerificationItem]:
 
     items.extend(flow.continuity_probe(flow.FlowParams(a=0.2, t=1.0)))
 
-    t0 = 14.134725141734694
-    eq47 = mero.Divisor(
-        {
-            complex(0.2, 5): 1,
-            complex(0.8, 5): 1,
-            complex(0.2, -5): 1,
-            complex(0.8, -5): 1,
-            complex(0.5, t0): 1,
-            complex(0.5, -t0): 1,
-            0j: -1,
-            1 + 0j: -1,
-            sphere.INFINITY: -4,
-        }
-    )
-    moved = flow.transport_divisor(p1, eq47)
+    moved = flow.transport_divisor(p1, _EQ47)
     items.append(make_item("flow/transport preserves degree (eq47 with -4 q_inf)", 0.0, float(mero.divisor_degree(moved)), 0.0))
     items.append(
         make_item("flow/t=1 off-line zeros land on Re=1/2", 1.0, float(moved.multiplicity(complex(0.5, 5.0)) == 2), 0.5)
@@ -439,13 +435,14 @@ SUITES = {
 
 
 def run_suite(name: str, cfg: RunConfig | None = None) -> VerificationReport:
-    cfg = cfg or RunConfig()
+    """Run one named suite, or every suite for 'all'; ``cfg`` only feeds the
+    report's config digest."""
     if name == "all":
         items: list[VerificationItem] = []
         for suite_name in SUITES:
-            items.extend(SUITES[suite_name](cfg))
+            items.extend(SUITES[suite_name]())
     elif name in SUITES:
-        items = SUITES[name](cfg)
+        items = SUITES[name]()
     else:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return VerificationReport.build(items, cfg.digest())
+    return VerificationReport.build(items, (cfg or RunConfig()).digest())

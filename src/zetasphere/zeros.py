@@ -13,9 +13,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from . import __version__
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -27,9 +27,9 @@ from .modulus import criterion_ratio
 from .zeta import completed_log_prefactor, completed_zeta, zeta_eval
 
 BRACKET_TOLERANCE = 1e-9
-RESIDUAL_BOUND = 1e-8
 CRITERION_RADIUS = 1e-4
-CSV_HEADER = "# zetasphere v0.1.0"
+DERIVATIVE_STEP = 1e-6
+CSV_HEADER = f"# zetasphere v{__version__}"
 
 
 @dataclass(frozen=True)
@@ -123,27 +123,11 @@ def refine_zero(bracket: tuple[float, float]) -> ZeroRecord:
     return ZeroRecord(ordinate=t, bracket=(a, b), residual=residual, criterion=criterion)
 
 
-def _scan_chunk(args: tuple[float, float, int, int]) -> list[tuple[float, float]]:
-    t0, step, i_start, i_stop = args
-    brackets = []
-    prev_t = t0 + i_start * step
-    prev_v = _sign_kernel(prev_t)
-    for i in range(i_start + 1, i_stop + 1):
-        t = t0 + i * step
-        v = _sign_kernel(t)
-        if prev_v == 0.0:
-            brackets.append((prev_t, prev_t))
-        elif prev_v * v < 0:
-            brackets.append((prev_t, t))
-        prev_t, prev_v = t, v
-    return brackets
-
-
-def scan_zeros(t0: float, t1: float, step: float, workers: int = 1) -> list[ZeroRecord]:
+def scan_zeros(t0: float, t1: float, step: float) -> list[ZeroRecord]:
     """Detect and refine all sign changes of Z on the grid t0, t0+step, ...
 
-    Chunks of the shared grid may be scanned by separate processes; results
-    merge deterministically by ordinate.
+    A grid point where the kernel is exactly 0 opens the bracket to its
+    right neighbour; refinement then returns that point itself.
     """
     if not (0.0 <= t0 < t1 <= 1000.0):
         raise DomainError("scan range must satisfy 0 <= t0 < t1 <= 1000")
@@ -152,46 +136,34 @@ def scan_zeros(t0: float, t1: float, step: float, workers: int = 1) -> list[Zero
     n_steps = int(math.floor((t1 - t0) / step + 1e-9))
     if n_steps < 1:
         return []
-    if workers <= 1:
-        brackets = _scan_chunk((t0, step, 0, n_steps))
-    else:
-        chunk = max(1, n_steps // workers)
-        jobs = []
-        i = 0
-        while i < n_steps:
-            jobs.append((t0, step, i, min(i + chunk, n_steps)))
-            i += chunk
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_chunk, jobs))
-        brackets = [b for part in parts for b in part]
-    records = [refine_zero(b) if b[0] < b[1] else _exact_hit(b[0]) for b in brackets]
-    records.sort(key=lambda r: r.ordinate)
+    brackets = []
+    prev_t, prev_v = t0, _sign_kernel(t0)
+    for i in range(1, n_steps + 1):
+        t = t0 + i * step
+        v = _sign_kernel(t)
+        if prev_v == 0.0 or prev_v * v < 0:
+            brackets.append((prev_t, t))
+        prev_t, prev_v = t, v
     deduped: list[ZeroRecord] = []
-    for rec in records:
+    for rec in map(refine_zero, brackets):
         if deduped and abs(rec.ordinate - deduped[-1].ordinate) < 10 * BRACKET_TOLERANCE:
             continue
         deduped.append(rec)
     return deduped
 
 
-def _exact_hit(t: float) -> ZeroRecord:
-    residual = abs(completed_zeta(complex(0.5, t)))
-    criterion = criterion_ratio(complex(0.5, abs(t)), CRITERION_RADIUS)
-    return ZeroRecord(ordinate=t, bracket=(t, t), residual=residual, criterion=criterion)
-
-
 # ---------------------------------------------------------------------------
 # argument-principle counting
 
 
-def count_zeros_rectangle(rect: Rectangle, derivative_step: float = 1e-6) -> int:
+def count_zeros_rectangle(rect: Rectangle) -> int:
     """Winding number (1/2 pi i) contour integral of zt'/zt around rect.
 
     Trapezoid on the boundary with adaptive halving; a segment is split
     until its endpoint phase step drops below pi/4 AND its own two-level
-    trapezoid estimates agree.  zt' comes from a central difference with the
-    given step.  Raises PhaseJumpError when refinement cannot get adjacent
-    phases within pi/2 (boundary hugging a zero).
+    trapezoid estimates agree.  zt' comes from a central difference with
+    step DERIVATIVE_STEP.  Raises PhaseJumpError when refinement cannot get
+    adjacent phases within pi/2 (boundary hugging a zero).
     """
     corners = [
         complex(rect.x_min, rect.y_min),
@@ -208,8 +180,8 @@ def count_zeros_rectangle(rect: Rectangle, derivative_step: float = 1e-6) -> int
         return cache[z]
 
     def g(z: complex) -> complex:
-        d = (completed_zeta(z + derivative_step) - completed_zeta(z - derivative_step)) / (
-            2 * derivative_step
+        d = (completed_zeta(z + DERIVATIVE_STEP) - completed_zeta(z - DERIVATIVE_STEP)) / (
+            2 * DERIVATIVE_STEP
         )
         return d / f(z)
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .specfun import DEFAULT_OPTIONS, EvalOptions, gamma, loggamma
+from .specfun import DEFAULT_OPTIONS, POLE_WINDOW, EvalOptions, _logsin_pi, gamma, loggamma
 
 # gamma_0 .. gamma_4, frozen from the multiprecision pre-build oracle
 STIELTJES = (
@@ -37,9 +37,13 @@ STIELTJES = (
 )
 
 _LN2 = math.log(2.0)
+_LNPI = math.log(math.pi)
 _ACCEL_RATE = math.log(3.0 + math.sqrt(8.0))
 _ETA_FALLBACK_WINDOW = 1e-2
 _SMALL_S_WINDOW = 1e-6
+# the eta route of zeta_eval: it only sees Re(s) >= 1/2, inside eta_eval's
+# domain, and asks two digits more than the public default
+_RIGHT_HALF_OPTIONS = EvalOptions(tolerance=1e-14, max_terms=10**7)
 
 
 @dataclass(frozen=True)
@@ -97,16 +101,6 @@ def eta_eval(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
     return complex(np.sum(coeffs * np.exp(-s * logk)))
 
 
-def _eta_unrestricted(s: complex, tol: float = 1e-14) -> complex:
-    """Internal eta path without the Re(s) > 0 precondition (the accelerated
-    sum keeps converging on a neighbourhood of the closed strip)."""
-    n = _accel_terms_needed(abs(s.imag), tol)
-    if n > 10**7:
-        raise ConvergenceError(f"eta acceleration impractical at {s}")
-    coeffs, logk = _accel_coeffs(n)
-    return complex(np.sum(coeffs * np.exp(-s * logk)))
-
-
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin fallback (eta-denominator zeros s = 1 + 2 pi i k / ln 2)
 
@@ -152,7 +146,7 @@ def _zeta_right_half(s: complex) -> complex:
     denom = 1.0 - 2 ** (1 - s)
     if abs(denom) < _ETA_FALLBACK_WINDOW:
         return _zeta_euler_maclaurin(s)
-    return _eta_unrestricted(s) / denom
+    return eta_eval(s, _RIGHT_HALF_OPTIONS) / denom
 
 
 def zeta_eval(s: complex) -> complex:
@@ -164,10 +158,24 @@ def zeta_eval(s: complex) -> complex:
         return _zeta_right_half(s)
     if abs(s) < _SMALL_S_WINDOW:
         return _zeta_small_s(s)
-    return _f_factor_raw(s) * _zeta_right_half(1 - s)
+    return f_factor(s) * _zeta_right_half(1 - s)
 
 
-def _f_factor_raw(s: complex) -> complex:
+def f_factor(s: complex) -> complex:
+    """The functional-equation factor f(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s).
+
+    PoleError at the positive integers, the poles of Gamma(1-s).  Past
+    |Im s| > 20 (the gamma threshold) the product is taken in log space,
+    where sin(pi s/2) alone would overflow long before f(s) does; below it
+    the direct product keeps the trivial zeros on the real axis exact.
+    """
+    s = complex(s)
+    if abs(s.imag) <= POLE_WINDOW:
+        r = round(s.real)
+        if r >= 1 and abs(s.real - r) <= POLE_WINDOW:
+            raise PoleError(float(r), index=r - 1)
+    if abs(s.imag) > 20:
+        return cmath.exp(s * _LN2 + (s - 1) * _LNPI + _logsin_pi(s / 2) + loggamma(1 - s))
     return 2**s * math.pi ** (s - 1) * cmath.sin(math.pi * s / 2) * gamma(1 - s)
 
 
@@ -185,7 +193,7 @@ def functional_rhs(s: complex) -> complex:
             raise DomainError(f"Gamma(1-s) pole at s={s}; use even_limit_probe for even s")
         if abs(s.real) <= 1e-12:
             raise DomainError("zeta(1-s) pole at s=0; zeta_eval takes the limit")
-    return _f_factor_raw(s) * zeta_eval(1 - s)
+    return f_factor(s) * zeta_eval(1 - s)
 
 
 def even_limit_probe(n: int) -> complex:
@@ -196,7 +204,7 @@ def even_limit_probe(n: int) -> complex:
     values = []
     for eps in (1e-3, 5e-4, 2.5e-4):
         s = 2 * n + eps
-        values.append(_f_factor_raw(s) * zeta_eval(1 - s))
+        values.append(f_factor(s) * zeta_eval(1 - s))
     r01 = 2 * values[1] - values[0]
     r12 = 2 * values[2] - values[1]
     out = (4 * r12 - r01) / 3

@@ -19,6 +19,12 @@ ZETA_SPOT_ARG = complex(0.75, 2.5)
 ZETA_SPOT = complex(0.55176350521402638, -0.20185180701573465)
 ETA_DENOM_ZERO_IM = 9.0647202836543876
 ZETA_AT_ETA_DENOM_ZERO = complex(1.3465795428363171, 0.10988313679626950)
+# reflected points past |Im s| ~ 452, where sin(pi s/2) leaves double range
+ZETA_REFLECTED_HIGH = (
+    (complex(0.3, 600.0), complex(1.7796957617005685, 4.3974996014434198)),
+    (complex(-0.5, 1000.0), complex(-123.54067467709959, 90.000077494702263)),
+    (complex(0.2, -455.0), complex(-1.9025058664642367, -0.55478708527725080)),
+)
 COMPLETED_HALF = -3.9769662255065129
 
 STIELTJES_REF = (
@@ -44,6 +50,7 @@ ZERO_ORDINATES = (
 )
 GAP_1_2 = 6.8873144970368612
 ZEROS_BELOW_100 = 29
+ZEROS_BELOW_1000 = 649
 
 # c = (1/4) * 0.05438 / 14.1347^2, exact decimal arithmetic of the printed
 # inputs (see also the Fraction oracle in the acceptance tests)

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import pytest
 
-from zetasphere.config import RunConfig
 from zetasphere.flow import FlowParams, continuity_probe, flow_map, transport_divisor
 from zetasphere.mero import (
     Divisor,
@@ -166,7 +165,7 @@ def test_criterion_09_constant_provenance():
     c_paper = build_zeta_hat(14.1347, complex(-0.05438))[0].constant.real
     oracle = float(Fraction(5438, 100000) / (4 * Fraction(141347, 10000) ** 2))
     assert abs(c_paper - oracle) <= 1e-9 * oracle
-    flags = [it for it in suite_hurwitz(RunConfig()) if it.status == DISCREPANCY]
+    flags = [it for it in suite_hurwitz() if it.status == DISCREPANCY]
     assert any("6.8046" in it.name for it in flags), "missing printed-c discrepancy flag"
     t0 = refine_zero((14.0, 14.3)).ordinate
     c_computed = build_zeta_hat(t0, completed_zeta(0.5 + 0j).real)[0].constant.real
@@ -186,7 +185,7 @@ def test_criterion_10_asymptotic_probes():
 
 
 def test_criterion_11_derivative_formulas():
-    items = suite_modulus(RunConfig())
+    items = suite_modulus()
     eq14 = [it for it in items if it.name.startswith("eq14-dxf/")]
     assert len(eq14) == 50
     assert all(it.status in (PASS, DISCREPANCY) for it in eq14)

@@ -8,6 +8,8 @@ import pytest
 from zetasphere.cli import main, parse_complex
 from zetasphere.errors import ZetasphereError
 
+from reference_values import ZETA_REFLECTED_HIGH
+
 
 def run_cli(*argv, env_extra=None):
     import os
@@ -65,6 +67,24 @@ class TestEval:
         proc = run_cli("eval", "zeta", "spam")
         assert proc.returncode == 2
 
+    def test_reflected_past_overflow(self):
+        proc = run_cli("eval", "zeta", "0.3+600i")
+        assert proc.returncode == 0
+        value = parse_complex(proc.stdout)
+        s, ref = ZETA_REFLECTED_HIGH[0]
+        assert s == complex(0.3, 600.0)
+        assert abs(value - ref) <= 1e-10 * abs(ref)
+
+    def test_unexpected_exception_exit_two(self, monkeypatch, capsys):
+        import zetasphere.cli as cli
+
+        def boom(args, cfg):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli, "_cmd_eval", boom)
+        assert main(["eval", "zeta", "2+0i"]) == 2
+        assert capsys.readouterr().err == "error: OverflowError: math range error\n"
+
 
 class TestZeros:
     def test_window_rows(self, tmp_path):
@@ -90,8 +110,22 @@ class TestZeros:
         proc = run_cli("zeros", "--from", "30", "--to", "10", "--step", "0.25")
         assert proc.returncode == 2
 
+    def test_out_directory_exit_two(self, tmp_path):
+        proc = run_cli("zeros", "--from", "10", "--to", "16", "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: IsADirectoryError:")
+        assert "Traceback" not in proc.stderr
+
 
 class TestVerify:
+    def test_version_single_source(self):
+        import zetasphere
+        from zetasphere.report import VerificationReport
+        from zetasphere.zeros import CSV_HEADER
+
+        assert VerificationReport.build([], "digest").meta["version"] == zetasphere.__version__
+        assert CSV_HEADER == f"# zetasphere v{zetasphere.__version__}"
+
     def test_table1_passes(self):
         proc = run_cli("verify", "--suite", "table1")
         assert proc.returncode == 0
@@ -189,7 +223,7 @@ class TestPlotdata:
 class TestConfig:
     def test_config_file_sets_scan_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("scan_step = 0.5\nworkers = 1\n# comment line\n")
+        cfg.write_text("scan_step = 0.5\n# comment line\n")
         proc = run_cli("--config", str(cfg), "zeros", "--from", "10", "--to", "16")
         assert proc.returncode == 0
         rows = [l for l in proc.stdout.splitlines() if l and not l.startswith(("#", "ordinate"))]
@@ -212,6 +246,15 @@ class TestConfig:
         cfg.write_text("bogus = 1\n")
         proc = run_cli("--config", str(cfg), "zeros", "--from", "10", "--to", "16")
         assert proc.returncode == 2
+        # scan_step is the only key; none of these may pass silently
+        for key in ("workers", "tolerance", "max_terms", "scan_from", "scan_to"):
+            cfg.write_text(f"{key} = 1\n")
+            assert main(["--config", str(cfg), "zeros", "--from", "10", "--to", "16"]) == 2
+
+    def test_config_directory_exit_two(self, tmp_path):
+        proc = run_cli("--config", str(tmp_path), "zeros", "--from", "10", "--to", "16")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
 
     def test_main_callable_directly(self):
         assert main(["eval", "zeta", "3+0i"]) == 0

@@ -16,7 +16,7 @@ from zetasphere.zeros import (
     z_real,
 )
 
-from reference_values import COMPLETED_HALF, ZERO_ORDINATES, ZEROS_BELOW_100
+from reference_values import COMPLETED_HALF, ZERO_ORDINATES, ZEROS_BELOW_100, ZEROS_BELOW_1000
 
 
 class TestZReal:
@@ -69,10 +69,8 @@ class TestScan:
         for a, b in zip(coarse, fine):
             assert abs(a.ordinate - b.ordinate) < 1e-9
 
-    def test_worker_partition_determinism(self):
-        single = scan_zeros(10.0, 35.0, 0.25, workers=1)
-        multi = scan_zeros(10.0, 35.0, 0.25, workers=3)
-        assert [r.ordinate for r in single] == [r.ordinate for r in multi]
+    def test_full_range_to_1000(self):
+        assert len(scan_zeros(0.0, 1000.0, 0.25)) == ZEROS_BELOW_1000
 
     def test_range_validation(self):
         with pytest.raises(DomainError):
@@ -103,6 +101,12 @@ class TestRectangleCount:
         scan_count = len(scan_zeros(1.0, 100.0, 0.25))
         assert scan_count == ZEROS_BELOW_100
         assert count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, 100.0)) == scan_count
+
+    def test_count_matches_scan_past_452(self):
+        # the window crosses t ~ 452, where sin(pi s/2) in the reflected
+        # factor of the criterion points leaves double range
+        rect = Rectangle(-0.5, 1.5, 440.2, 470.3)
+        assert len(scan_zeros(440.2, 470.3, 0.25)) == count_zeros_rectangle(rect) == 20
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -27,6 +27,7 @@ from reference_values import (
     ZERO_ORDINATES,
     ZETA_AT_ETA_DENOM_ZERO,
     ZETA_HALF,
+    ZETA_REFLECTED_HIGH,
     ZETA_SPOT,
     ZETA_SPOT_ARG,
     ZETA_THREE,
@@ -98,6 +99,11 @@ class TestZeta:
         s = 1 + 1e-4
         assert ((s - 1) * zeta_eval(s + 0j)).real == pytest.approx(1.0, abs=1e-3)
 
+    def test_reflected_past_sin_overflow(self):
+        # sin(pi s/2) alone overflows past |Im s| ~ 452; f(s) must not
+        for s, ref in ZETA_REFLECTED_HIGH:
+            assert abs(zeta_eval(s) - ref) <= 1e-10 * abs(ref)
+
 
 class TestFunctionalEquation:
     def test_strip_agreement(self):
@@ -141,9 +147,9 @@ class TestEvenLimitProbe:
     def test_raw_error_shrinks_with_eps(self):
         # the un-extrapolated values approach zeta(2) monotonically
         target = math.pi**2 / 6
-        from zetasphere.zeta import _f_factor_raw
+        from zetasphere.zeta import f_factor
 
-        errs = [abs(_f_factor_raw(2 + eps) * zeta_eval(1 - (2 + eps)) - target)
+        errs = [abs(f_factor(2 + eps) * zeta_eval(1 - (2 + eps)) - target)
                 for eps in (1e-3, 5e-4, 2.5e-4)]
         assert errs[0] > errs[1] > errs[2]
 

@@ -16,7 +16,7 @@ from . import mero, modulus, zeros
 from .config import load_config
 from .errors import ZetasphereError
 from .specfun import digamma, gamma
-from .verify import FIRST_ZERO_BRACKET, PAPER_ANCHOR, PAPER_ORDINATE, run_suite
+from .verify import PAPER_ANCHOR, PAPER_ORDINATE, first_zero, run_suite
 from .zeta import completed_zeta, eta_eval, f_factor, zeta_eval
 
 CSV_HEADER = zeros.CSV_HEADER
@@ -110,11 +110,7 @@ def _cmd_extend(args, cfg) -> int:
         anchor = PAPER_ANCHOR
         anchor_source = "printed inputs"
     else:
-        ordinate = (
-            args.ordinate
-            if args.ordinate is not None
-            else zeros.refine_zero(FIRST_ZERO_BRACKET).ordinate
-        )
+        ordinate = args.ordinate if args.ordinate is not None else first_zero().ordinate
         anchor = completed_zeta(0.5 + 0j).real
         anchor_source = "computed completed zeta at 1/2"
     rmap, bd = mero.build_zeta_hat(ordinate, anchor)

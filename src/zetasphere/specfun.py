@@ -12,6 +12,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError, PoleError
 
 EULER_GAMMA = 0.5772156649015329
@@ -43,6 +45,10 @@ _PSI_ASYMPTOTIC = (
     691.0 / 32760,
     -1.0 / 12,
 )
+
+# terms per numpy block of the cross-check series; one float64 block is
+# 64 KB, so the temporaries stay small next to the whole 1e6-term range
+_SERIES_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -157,23 +163,50 @@ def digamma(s: complex) -> complex:
     return acc + cmath.log(s) - 0.5 / s + tail
 
 
+def _series_sum(term, n_terms: int):
+    """Sum of ``term(n)`` along its last axis over n = 0, 1, ..., n_terms - 1.
+
+    ``term`` maps a float64 block of n to its summands.  numpy adds each
+    block pairwise; the block sums are added in order of n.
+    """
+    total = 0.0
+    for start in range(0, n_terms, _SERIES_CHUNK):
+        n = np.arange(start, min(start + _SERIES_CHUNK, n_terms), dtype=np.float64)
+        total = total + term(n).sum(axis=-1)
+    return total
+
+
+def _series_terms(opts: EvalOptions) -> int:
+    return min(opts.max_terms, max(1000, int(10 / opts.tolerance**0.5)))
+
+
+def _series_tail(s: complex, n: int) -> complex:
+    """Integral of (s-1)/((t+1)(t+s)) from n to infinity plus half the
+    boundary term (Euler-Maclaurin to first order)."""
+    return cmath.log((n + s) / (n + 1)) + 0.5 * (s - 1) / ((n + 1) * (n + s))
+
+
 def digamma_series_reference(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
     """Cross-check path: -gamma + sum (s-1)/((n+1)(n+s)) with an integral
     tail correction.  Converges too slowly for production; kept as the
     independent route against :func:`digamma`.
+
+    The sum is taken in real arithmetic as
+    (s-1) sum conj(n+s) / ((n+1)|n+s|^2), the same series term by term.
     """
     s = complex(s)
     if _nonpositive_integer_index(s) is not None:
         raise PoleError(s)
-    n_terms = min(opts.max_terms, max(1000, int(10 / opts.tolerance**0.5)))
-    total = 0j
-    for n in range(n_terms):
-        total += (s - 1) / ((n + 1) * (n + s))
-    # tail: integral of (s-1)/((t+1)(t+s)) from N to infinity plus half the
-    # boundary term (Euler-Maclaurin to first order)
-    n = n_terms
-    tail = cmath.log((n + s) / (n + 1)) + 0.5 * (s - 1) / ((n + 1) * (n + s))
-    return -EULER_GAMMA + total + tail
+    x, y = s.real, s.imag
+    n_terms = _series_terms(opts)
+
+    def term(n):
+        w = (n + 1) * ((n + x) ** 2 + y * y)
+        return np.stack(((n + x) / w, 1.0 / w))
+
+    re_sum, im_sum = _series_sum(term, n_terms)
+    total = (s - 1) * complex(re_sum, -y * im_sum)
+    return -EULER_GAMMA + total + _series_tail(s, n_terms)
 
 
 def gamma_abs_critical(y: float) -> float:
@@ -235,14 +268,14 @@ def psi_pair_series(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
     ) is not None:
         raise PoleError(s)
     x, y = s.real, s.imag
-    n_terms = min(opts.max_terms, max(1000, int(10 / opts.tolerance**0.5)))
-    total = 0.0
-    for n in range(n_terms):
-        total += ((x - 1) * (x + n) + y * y) / ((n + 1) * ((n + x) ** 2 + y * y))
-    n = n_terms
+    n_terms = _series_terms(opts)
+
+    def term(n):
+        return ((x - 1) * (x + n) + y * y) / ((n + 1) * ((n + x) ** 2 + y * y))
+
+    total = float(_series_sum(term, n_terms))
     # same tail as the complex series, taken through its real part
-    tail = cmath.log((n + s) / (n + 1)) + 0.5 * (s - 1) / ((n + 1) * (n + s))
-    result = 2.0 * (-EULER_GAMMA + total + tail.real)
+    result = 2.0 * (-EULER_GAMMA + total + _series_tail(s, n_terms).real)
     if math.isnan(result):
         raise ConvergenceError("psi_pair_series did not converge")
     return result

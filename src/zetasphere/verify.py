@@ -8,6 +8,7 @@ written, report conflicts, never silently repair).
 
 from __future__ import annotations
 
+import functools
 import math
 
 from . import flow, mero, modulus, sphere, zeros
@@ -74,6 +75,13 @@ _EQ47 = mero.Divisor(
         sphere.INFINITY: -4,
     }
 )
+
+
+@functools.cache
+def first_zero() -> zeros.ZeroRecord:
+    """The first critical-line zero refined from FIRST_ZERO_BRACKET, once
+    per process; ZeroRecord is frozen, so every caller shares it."""
+    return zeros.refine_zero(FIRST_ZERO_BRACKET)
 
 
 def _strip_grid(n_x: int, n_y: int, y_max: float):
@@ -294,7 +302,7 @@ def suite_critical_line() -> list[VerificationItem]:
         worst = max(worst, abs(a - b) / a)
     items.append(make_item("critical-line/|zeta(s)|=|zeta(1-s)| max rel on line", 0.0, worst, 1e-12))
 
-    first = zeros.refine_zero(FIRST_ZERO_BRACKET)
+    first = first_zero()
     items.append(make_item("criterion/first zero ratio = 1", 1.0, first.criterion, 1e-6))
     items.append(
         make_item("criterion/generic on-line point t=10", 1.0, modulus.criterion_ratio(complex(0.5, 10), 1e-4), 1e-6)
@@ -348,7 +356,7 @@ def suite_divisors() -> list[VerificationItem]:
 
 def suite_hurwitz() -> list[VerificationItem]:
     items = []
-    first = zeros.refine_zero(FIRST_ZERO_BRACKET)
+    first = first_zero()
     anchor = completed_zeta(0.5 + 0j).real
     rmap, bd = mero.build_zeta_hat(first.ordinate, anchor)
 

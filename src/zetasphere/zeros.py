@@ -176,7 +176,12 @@ def count_zeros_rectangle(rect: Rectangle) -> int:
 
     def f(z: complex) -> complex:
         if z not in cache:
-            cache[z] = completed_zeta(z)
+            value = completed_zeta(z)
+            if value == 0:
+                raise DomainError(
+                    f"completed_zeta underflowed to 0 at {z}; the winding count cannot divide by it"
+                )
+            cache[z] = value
         return cache[z]
 
     def g(z: complex) -> complex:

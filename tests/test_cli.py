@@ -155,6 +155,16 @@ class TestVerify:
         run_cli("verify", "--suite", "flow", "--json", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_first_zero_refined_once(self, monkeypatch):
+        from zetasphere import verify, zeros
+
+        calls = []
+        refine = zeros.refine_zero
+        monkeypatch.setattr(zeros, "refine_zero", lambda bracket: calls.append(bracket) or refine(bracket))
+        verify.first_zero.cache_clear()
+        verify.run_suite("all")
+        assert calls == [verify.FIRST_ZERO_BRACKET]
+
 
 class TestExtend:
     def test_default_summary(self):

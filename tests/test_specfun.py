@@ -5,6 +5,7 @@ import pytest
 
 from zetasphere.errors import DomainError, PoleError
 from zetasphere.specfun import (
+    EULER_GAMMA,
     EvalOptions,
     digamma,
     digamma_series_reference,
@@ -155,6 +156,40 @@ class TestPsiPair:
         opts = EvalOptions(tolerance=1e-10, max_terms=10**6)
         for s in (1 + 0j, 0.5 + 2j, 0.8 - 1j):
             assert abs(psi_pair(s) - psi_pair_series(s, opts)) < 1e-7
+
+
+class TestSeriesSummation:
+    # the points of the gamma suite's series cross-checks
+    DIGAMMA_POINTS = (1 + 0j, 2 + 0j, 0.3 + 0.7j)
+    PSI_POINTS = (1 + 0j, 0.5 + 2j)
+
+    @staticmethod
+    def _tail(s, n):
+        return cmath.log((n + s) / (n + 1)) + 0.5 * (s - 1) / ((n + 1) * (n + s))
+
+    def test_default_terms_agree_with_digamma(self):
+        for s in self.DIGAMMA_POINTS:
+            assert abs(digamma(s) - digamma_series_reference(s)) < 1e-14
+        for s in self.PSI_POINTS:
+            assert abs(psi_pair(s) - psi_pair_series(s)) < 1e-14
+
+    def test_odd_term_count_matches_fsum(self):
+        # 10_001 terms fill no power-of-two block exactly, so the last
+        # partial block and the term count both show in the result
+        n_terms = 10_001
+        opts = EvalOptions(tolerance=1e-10, max_terms=n_terms)
+        for s in self.DIGAMMA_POINTS:
+            terms = [(s - 1) / ((n + 1) * (n + s)) for n in range(n_terms)]
+            total = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+            expected = -EULER_GAMMA + total + self._tail(s, n_terms)
+            assert abs(digamma_series_reference(s, opts) - expected) < 1e-15
+        for s in self.PSI_POINTS:
+            x, y = s.real, s.imag
+            total = math.fsum(
+                ((x - 1) * (x + n) + y * y) / ((n + 1) * ((n + x) ** 2 + y * y)) for n in range(n_terms)
+            )
+            expected = 2.0 * (-EULER_GAMMA + total + self._tail(s, n_terms).real)
+            assert abs(psi_pair_series(s, opts) - expected) < 1e-15
 
 
 class TestEvalOptions:

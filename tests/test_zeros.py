@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from zetasphere.errors import DomainError, NoSignChange, PhaseJumpError
+from zetasphere.errors import DomainError, NoSignChange, PhaseJumpError, ZetasphereError
 from zetasphere.zeros import (
     Rectangle,
     ZeroRecord,
@@ -122,6 +122,11 @@ class TestRectangleCount:
         # top edge within 1e-10 of the first zero defeats refinement
         with pytest.raises(PhaseJumpError):
             count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, ZERO_ORDINATES[0] + 1e-10))
+
+    def test_completed_zeta_underflow_is_typed(self):
+        # completed_zeta is exactly 0 on this boundary, past t ~ 945
+        with pytest.raises(ZetasphereError, match="underflowed"):
+            count_zeros_rectangle(Rectangle(-0.5, 1.5, 950.0, 960.0))
 
 
 class TestCatalogIO:

@@ -257,29 +257,6 @@ def _poly_derivative(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[1:] * np.arange(1, len(coeffs), dtype=complex)
 
 
-def _taylor_at(coeffs: np.ndarray, center: complex, order: int) -> np.ndarray:
-    """First `order` Taylor coefficients of the polynomial about center,
-    by repeated synthetic division."""
-    work = np.array(coeffs, dtype=complex)
-    out = np.zeros(order, dtype=complex)
-    for j in range(order):
-        # divide work by (z - center): remainder is the Taylor coefficient
-        rem = 0j
-        for i in range(len(work) - 1, -1, -1):
-            rem = rem * center + work[i]
-        out[j] = rem
-        if len(work) > 1:
-            quot = np.zeros(len(work) - 1, dtype=complex)
-            carry = work[-1]
-            for i in range(len(work) - 2, -1, -1):
-                quot[i] = carry
-                carry = work[i] + carry * center
-            work = quot
-        else:
-            work = np.zeros(1, dtype=complex)
-    return out
-
-
 def _series_divide(num: np.ndarray, den: np.ndarray, order: int) -> np.ndarray:
     if abs(den[0]) == 0:
         raise DomainError("series division by a series with zero constant term")
@@ -316,25 +293,22 @@ def partial_fractions(f: RationalMap) -> PartialFractions:
     """Unique presentation by poles: f = p(z) + sum c_ij / (z - p_i)^j."""
     num = _poly_from_roots(f.zeros, lead=f.constant)
     den = _poly_from_roots(f.poles)
+    poly = np.zeros(1, dtype=complex)
     if len(num) >= len(den):
         # ascending-order long division: strip leading (highest) terms
-        quot = np.zeros(len(num) - len(den) + 1, dtype=complex)
+        poly = np.zeros(len(num) - len(den) + 1, dtype=complex)
         rem = np.array(num, dtype=complex)
-        for i in range(len(quot) - 1, -1, -1):
+        for i in range(len(poly) - 1, -1, -1):
             factor = rem[i + len(den) - 1] / den[-1]
-            quot[i] = factor
+            poly[i] = factor
             rem[i : i + len(den)] -= factor * den
-        rem = rem[: len(den) - 1] if len(den) > 1 else np.zeros(1, dtype=complex)
-        poly = quot
-    else:
-        poly = np.zeros(1, dtype=complex)
-        rem = num
     terms = []
     for p_i, k_i in f.poles:
-        other = _poly_from_roots([(p, k) for p, k in f.poles if p != p_i])
-        rem_taylor = _taylor_at(rem, p_i, k_i)
-        other_taylor = _taylor_at(other, p_i, k_i)
-        series = _series_divide(rem_taylor, other_taylor, k_i)
+        # principal part at p_i from the factored form in w = z - p_i; the
+        # expanded coefficients cancel there when another pole is close
+        num_taylor = _poly_from_roots([(z - p_i, h) for z, h in f.zeros], lead=f.constant)
+        other_taylor = _poly_from_roots([(p - p_i, k) for p, k in f.poles if p != p_i])
+        series = _series_divide(num_taylor, other_taylor, k_i)
         for j in range(1, k_i + 1):
             coeff = series[k_i - j]
             if coeff != 0:

@@ -195,6 +195,17 @@ class TestPartialFractions:
             direct = evaluate(f, z)
             assert abs(pf(z) - direct) <= 1e-10 * max(1.0, abs(direct))
 
+    def test_close_double_poles(self):
+        # 1/((z-a)^2 (z-b)^2), |a-b| = 0.0756: the residues are -+2/(a-b)^3 exactly
+        a, b = -2.515625 + 0j, -2.4399877958764575 + 0j
+        f = RationalMap(constant=1 + 0j, poles=((a, 2), (b, 2)))
+        coeffs = {(pole, order): coeff for pole, order, coeff in partial_fractions(f).terms}
+        assert coeffs[(a, 1)] == pytest.approx(-2 / (a - b) ** 3, rel=1e-14)
+        assert coeffs[(b, 1)] == pytest.approx(-2 / (b - a) ** 3, rel=1e-14)
+        assert coeffs[(a, 2)] == pytest.approx(1 / (a - b) ** 2, rel=1e-14)
+        z = 5.065835467015868 + 1.0926813193728366j
+        assert abs(partial_fractions(f)(z) - evaluate(f, z)) <= 1e-10
+
 
 class TestDerivative:
     def test_zeta_hat_printed_form(self):

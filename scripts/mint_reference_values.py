@@ -54,6 +54,11 @@ def main():
         z = mp.zeta(mp.mpc(*s0))
         print("    (complex%r, complex(%s, %s))," % (s0, fmt(z.real), fmt(z.imag)))
     print(")")
+    # left of Re s ~ -141, where Gamma(1-s) alone overflows a direct product
+    print("ZETA_FAR_LEFT = (")
+    for x in (-141.25, -201.0):
+        print("    (%r, %s)," % (x, fmt(mp.zeta(x))))
+    print(")")
     ctilde = mp.pi ** (-mp.mpf(1) / 4) * mp.gamma(mp.mpf(1) / 4) * mp.zeta(mp.mpf(1) / 2)
     print("COMPLETED_HALF =", fmt(ctilde))
 

@@ -2,8 +2,9 @@
 
 The Gamma core is a Lanczos rational approximation (g = 7, 9 terms,
 ~15 significant digits) with Euler reflection below Re(s) = 1/2.  Large
-imaginary parts route through log space so nothing overflows before the
-value itself leaves double range.
+imaginary parts route through log space, and the Lanczos power is split in
+two halves where it alone would overflow, so nothing overflows before the
+value itself leaves double range; there a DomainError names the point.
 """
 
 from __future__ import annotations
@@ -78,6 +79,26 @@ def _nonpositive_integer_index(s: complex) -> int | None:
     return None
 
 
+def finite_argument(s, name: str) -> complex:
+    """complex(s), or DomainError when either part is NaN or infinite."""
+    s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"{name} needs a finite argument, got {s}")
+    return s
+
+
+def exp_in_range(log_value: complex, name: str, s: complex, factor: complex = 1.0) -> complex:
+    """factor * exp(log_value) for the value of ``name`` at ``s`` taken in
+    log space; DomainError naming the point where it leaves double range."""
+    try:
+        value = factor * cmath.exp(log_value)
+    except OverflowError:
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name} at s = {s} leaves double range")
+    return value
+
+
 def _lanczos_sum(zm: complex) -> complex:
     a = _LANCZOS_C[0]
     for i in range(1, len(_LANCZOS_C)):
@@ -85,11 +106,18 @@ def _lanczos_sum(zm: complex) -> complex:
     return a
 
 
-def _gamma_lanczos_direct(z: complex) -> complex:
-    """Plain Lanczos product; accurate for Re(z) > 0, no reflection."""
+def _gamma_lanczos_direct(z: complex, halves: bool = False) -> complex:
+    """Plain Lanczos product; accurate for Re(z) > 0, no reflection.
+
+    With ``halves`` the power t^(z-1/2) is taken as two half powers on
+    either side of e^-t, which stays in double range as far as Gamma does.
+    """
     zm = z - 1
     t = zm + _LANCZOS_G + 0.5
-    return math.sqrt(2 * math.pi) * t ** (zm + 0.5) * cmath.exp(-t) * _lanczos_sum(zm)
+    if not halves:
+        return math.sqrt(2 * math.pi) * t ** (zm + 0.5) * cmath.exp(-t) * _lanczos_sum(zm)
+    half = t ** (0.5 * (zm + 0.5))
+    return math.sqrt(2 * math.pi) * half * cmath.exp(-t) * half * _lanczos_sum(zm)
 
 
 def _logsin_pi(z: complex) -> complex:
@@ -108,7 +136,7 @@ def loggamma(s: complex) -> complex:
     Used wherever Gamma itself would leave double range (completed zeta at
     large |Im s|, the critical-line sign kernel).
     """
-    s = complex(s)
+    s = finite_argument(s, "loggamma")
     k = _nonpositive_integer_index(s)
     if k is not None:
         raise PoleError(-k, residue=(-1.0) ** k / math.factorial(k), index=k)
@@ -128,18 +156,30 @@ def gamma(s: complex) -> complex:
     """Gamma(s) with Euler reflection below Re(s) = 1/2.
 
     Raises PoleError at non-positive integers (within 1e-12), carrying the
-    pole index k and the residue (-1)^k / k!.
+    pole index k and the residue (-1)^k / k!.  DomainError where the value
+    leaves double range (from Re s ~ 171.6).
     """
-    s = complex(s)
+    s = finite_argument(s, "Gamma")
     k = _nonpositive_integer_index(s)
     if k is not None:
         raise PoleError(-k, residue=(-1.0) ** k / math.factorial(k), index=k)
     if abs(s.imag) > 20:
         # sin(pi s) in the reflection overflows long before the value does
-        return cmath.exp(loggamma(s))
+        return exp_in_range(loggamma(s), "Gamma", s)
     if s.real < 0.5:
+        if s.real < -142:
+            # sin(pi s) Gamma(1-s) overflows here; Gamma(s) itself only shrinks
+            return cmath.exp(loggamma(s))
         return math.pi / (cmath.sin(math.pi * s) * gamma(1 - s))
-    return _gamma_lanczos_direct(s)
+    # the whole power overflows from Re s ~ 142.2, Gamma only from ~171.6
+    for halves in (False, True):
+        try:
+            value = _gamma_lanczos_direct(s, halves)
+        except OverflowError:
+            continue
+        if cmath.isfinite(value):
+            return value
+    raise DomainError(f"Gamma at s = {s} leaves double range")
 
 
 def digamma(s: complex) -> complex:

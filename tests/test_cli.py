@@ -75,6 +75,14 @@ class TestEval:
         assert s == complex(0.3, 600.0)
         assert abs(value - ref) <= 1e-10 * abs(ref)
 
+    def test_far_left_and_non_finite(self):
+        proc = run_cli("eval", "zeta", "--", "-201")
+        assert proc.returncode == 0
+        assert parse_complex(proc.stdout).real == pytest.approx(-1.8568690810125945e216, rel=1e-12)
+        proc = run_cli("eval", "zeta", "nan")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: zeta needs a finite argument")
+
     def test_unexpected_exception_exit_two(self, monkeypatch, capsys):
         import zetasphere.cli as cli
 

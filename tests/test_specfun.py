@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from zetasphere.errors import DomainError, PoleError
+from zetasphere.errors import DomainError, PoleError, ZetasphereError
 from zetasphere.specfun import (
     EULER_GAMMA,
     EvalOptions,
@@ -73,6 +73,22 @@ class TestGamma:
     def test_large_imaginary_part_no_overflow(self):
         g = gamma(complex(0.25, 250.0))
         assert 0 < abs(g) < 1e-100
+
+    def test_large_real_part_past_power_overflow(self):
+        # t^(s-1/2) in the Lanczos product overflows from Re s ~ 142.2
+        for x in (150.0, 160.0):
+            assert abs(gamma(x) - math.gamma(x)) <= 1e-13 * math.gamma(x)
+
+    def test_value_beyond_double_range_is_typed(self):
+        with pytest.raises(ZetasphereError):
+            gamma(172.0)
+
+    @pytest.mark.parametrize("s", [complex(math.nan, 0.0), complex(1.0, math.inf), complex(-math.inf, 0.0)])
+    def test_non_finite_argument(self, s):
+        with pytest.raises(DomainError):
+            gamma(s)
+        with pytest.raises(DomainError):
+            loggamma(s)
 
 
 class TestClosedFormModuli:

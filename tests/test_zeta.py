@@ -1,13 +1,16 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from zetasphere.errors import ConvergenceError, DomainError, PoleError
-from zetasphere.specfun import EvalOptions
+from zetasphere.errors import ConvergenceError, DomainError, PoleError, ZetasphereError
+from zetasphere.specfun import DEFAULT_OPTIONS, EvalOptions
 from zetasphere.zeta import (
     LaurentData,
     STIELTJES,
+    _accel_coeffs,
+    _accel_terms_needed,
     completed_zeta,
     eta_eval,
     euler_product_partial,
@@ -26,6 +29,7 @@ from reference_values import (
     TABLE1_FRACTIONS,
     ZERO_ORDINATES,
     ZETA_AT_ETA_DENOM_ZERO,
+    ZETA_FAR_LEFT,
     ZETA_HALF,
     ZETA_REFLECTED_HIGH,
     ZETA_SPOT,
@@ -54,6 +58,27 @@ class TestEta:
     def test_term_cap_exhaustion(self):
         with pytest.raises(ConvergenceError):
             eta_eval(complex(0.5, 900.0), EvalOptions(tolerance=1e-12, max_terms=100))
+
+    @pytest.mark.parametrize(
+        "s", [complex(0.5, 14.134725), complex(0.5, 450.0), complex(0.5, 1000.0), complex(2.0, 30.0)]
+    )
+    def test_sum_matches_fsum_of_the_same_terms(self, s):
+        n = _accel_terms_needed(abs(s.imag), DEFAULT_OPTIONS.tolerance)
+        coeffs, logk = _accel_coeffs(n)
+        terms = coeffs * np.exp(-s * logk)
+        reference = complex(math.fsum(terms.real), math.fsum(terms.imag))
+        scale = float(np.sum(np.abs(coeffs) * np.exp(-s.real * logk)))
+        assert abs(eta_eval(s) - reference) <= 1e-15 * scale
+
+    def test_repeat_calls_bit_identical(self):
+        s = complex(0.5, 450.0)
+        assert eta_eval(s) == eta_eval(s)
+        assert zeta_eval(s) == zeta_eval(s)
+
+    def test_non_finite_argument(self):
+        for s in (complex(math.nan, 1.0), complex(1.0, math.inf)):
+            with pytest.raises(DomainError):
+                eta_eval(s)
 
 
 class TestZeta:
@@ -103,6 +128,21 @@ class TestZeta:
         # sin(pi s/2) alone overflows past |Im s| ~ 452; f(s) must not
         for s, ref in ZETA_REFLECTED_HIGH:
             assert abs(zeta_eval(s) - ref) <= 1e-10 * abs(ref)
+
+    def test_far_left_past_gamma_overflow(self):
+        # Gamma(1-s) overflows a direct product left of Re s ~ -141; f(s) and
+        # zeta(s) stay in double range until Re s ~ -300
+        for x, ref in ZETA_FAR_LEFT:
+            assert abs(zeta_eval(x) - ref) <= 1e-12 * abs(ref)
+
+    def test_value_beyond_double_range_is_typed(self):
+        with pytest.raises(ZetasphereError):
+            zeta_eval(-300.5)
+
+    @pytest.mark.parametrize("s", [complex(math.nan, 1.0), complex(math.inf, 0.0), complex(0.5, -math.inf)])
+    def test_non_finite_argument(self, s):
+        with pytest.raises(DomainError):
+            zeta_eval(s)
 
 
 class TestFunctionalEquation:

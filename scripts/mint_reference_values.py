@@ -59,6 +59,27 @@ def main():
     for x in (-141.25, -201.0):
         print("    (%r, %s)," % (x, fmt(mp.zeta(x))))
     print(")")
+    # next to the trivial zeros, where sin(pi s/2) is a small difference
+    print("ZETA_NEAR_TRIVIAL = (")
+    for x in (-40.001, -60.0003, -250.0001):
+        print("    (%r, %s)," % (x, fmt(mp.zeta(x))))
+    print(")")
+    # Lambda'/Lambda for Lambda(s) = pi^(-s/2) Gamma(s/2) zeta(s): right and
+    # left of the critical line, out to t ~ 990, and on the eta-denominator
+    # zeros 1 + 2 pi i k / ln 2 (as doubles) and their reflection through
+    # s -> 1 - s; zeta' is confirmed by numerical differentiation
+    print("COMPLETED_LOGDERIV = (")
+    t_k = [float(2 * k * mp.pi / mp.log(2)) for k in (1, 100)]
+    points = [(0.75, 2.5), (1.5, 30.0), (0.5, 100.0), (-0.5, 20.0), (0.25, 300.0),
+              (1.5, 990.0), (-0.5, 960.0), (0.8, 945.5), (1.0, t_k[0]), (0.0, t_k[0]),
+              (1.0, t_k[1])]
+    for s0 in points:
+        s = mp.mpc(*s0)
+        dz = mp.zeta(s, 1, 1)
+        assert abs(dz - mp.diff(mp.zeta, s)) < mp.mpf(10) ** -25 * abs(dz), s0
+        ld = -mp.log(mp.pi) / 2 + mp.digamma(s / 2) / 2 + dz / mp.zeta(s)
+        print("    (complex%r, complex(%s, %s))," % (s0, fmt(ld.real), fmt(ld.imag)))
+    print(")")
     ctilde = mp.pi ** (-mp.mpf(1) / 4) * mp.gamma(mp.mpf(1) / 4) * mp.zeta(mp.mpf(1) / 2)
     print("COMPLETED_HALF =", fmt(ctilde))
 

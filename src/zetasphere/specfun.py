@@ -184,7 +184,7 @@ def gamma(s: complex) -> complex:
 
 def digamma(s: complex) -> complex:
     """psi(s) by recurrence shift to |s| >= 10 plus asymptotic expansion."""
-    s = complex(s)
+    s = finite_argument(s, "digamma")
     k = _nonpositive_integer_index(s)
     if k is not None:
         raise PoleError(-k, index=k)

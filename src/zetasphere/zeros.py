@@ -7,11 +7,13 @@ a secant step moves one end next to the root and leaves the other, so the
 next proposals fall within 10 % of that end, outside the guard band, until
 halving has shrunk the bracket to the root's distance from it.  A zero
 costs ~31.5 kernel evaluations, about log2(0.25 / 1e-9) = 28 halvings plus
-the ends; on [0, 100] ~3.4 of its ~29.5 steps are secant steps.  An
-independent count of
-zeros inside a rectangle comes from the winding of the completed zeta along
-the boundary (trapezoid quadrature of the log-derivative with adaptive
-halving, phase-step guarded).
+the ends; on [0, 100] ~3.4 of its ~29.5 steps are secant steps.
+
+An independent count of zeros inside a rectangle comes from the winding of
+the completed zeta along the boundary: trapezoid quadrature of its
+log-derivative with adaptive halving, phase-step guarded.  The
+log-derivative is analytic and the phase is taken in log space, one eta sum
+per node, so neither underflows and the count reaches t = 1000.
 """
 
 from __future__ import annotations
@@ -30,11 +32,15 @@ from .errors import (
     RealnessViolation,
 )
 from .modulus import criterion_ratio
-from .zeta import completed_log_prefactor, completed_zeta, zeta_eval
+from .zeta import (
+    completed_log_prefactor,
+    completed_zeta,
+    completed_zeta_phase_logderiv,
+    zeta_eval,
+)
 
 BRACKET_TOLERANCE = 1e-9
 CRITERION_RADIUS = 1e-4
-DERIVATIVE_STEP = 1e-6
 CSV_HEADER = f"# zetasphere v{__version__}"
 
 
@@ -169,9 +175,12 @@ def count_zeros_rectangle(rect: Rectangle) -> int:
 
     Trapezoid on the boundary with adaptive halving; a segment is split
     until its endpoint phase step drops below pi/4 AND its own two-level
-    trapezoid estimates agree.  zt' comes from a central difference with
-    step DERIVATIVE_STEP.  Raises PhaseJumpError when refinement cannot get
-    adjacent phases within pi/2 (boundary hugging a zero).
+    trapezoid estimates agree.  Each node costs one eta sum: the phase of zt
+    and the log-derivative zt'/zt come analytically from
+    ``completed_zeta_phase_logderiv``, in log space, so the count works out
+    to t = 1000, where zt itself underflows.  Raises PhaseJumpError when
+    refinement cannot get adjacent phases within pi/2 (boundary hugging a
+    zero).
     """
     corners = [
         complex(rect.x_min, rect.y_min),
@@ -180,26 +189,18 @@ def count_zeros_rectangle(rect: Rectangle) -> int:
         complex(rect.x_min, rect.y_max),
         complex(rect.x_min, rect.y_min),
     ]
-    cache: dict[complex, complex] = {}
+    cache: dict[complex, tuple[float, complex]] = {}
 
-    def f(z: complex) -> complex:
+    def node(z: complex) -> tuple[float, complex]:
         if z not in cache:
-            value = completed_zeta(z)
-            if value == 0:
-                raise DomainError(
-                    f"completed_zeta underflowed to 0 at {z}; the winding count cannot divide by it"
-                )
-            cache[z] = value
+            cache[z] = completed_zeta_phase_logderiv(z)
         return cache[z]
 
     def g(z: complex) -> complex:
-        d = (completed_zeta(z + DERIVATIVE_STEP) - completed_zeta(z - DERIVATIVE_STEP)) / (
-            2 * DERIVATIVE_STEP
-        )
-        return d / f(z)
+        return node(z)[1]
 
     def wrapped_step(za: complex, zb: complex) -> float:
-        return (cmath.phase(f(zb)) - cmath.phase(f(za)) + math.pi) % (2 * math.pi) - math.pi
+        return (node(zb)[0] - node(za)[0] + math.pi) % (2 * math.pi) - math.pi
 
     integral = 0j
     max_depth = 30

@@ -30,6 +30,7 @@ from .specfun import (
     POLE_WINDOW,
     EvalOptions,
     _logsin_pi,
+    digamma,
     exp_in_range,
     finite_argument,
     gamma,
@@ -77,7 +78,8 @@ class LaurentData:
 def _accel_coeffs(n: int):
     """(-1)^k (d_n - d_k)/d_n for Borwein's scheme, with log-space term
     sums, as complex128 so the eta sum is one complex dot product, plus the
-    cached log(k+1) table.  Quantized n keeps the cache small."""
+    cached log(k+1) table and the weights times log(k+1), which give the
+    derivative sum.  Quantized n keeps the cache small."""
     log_t = np.array(
         [
             math.lgamma(n + i) + i * math.log(4.0) - math.lgamma(n - i + 1) - math.lgamma(2 * i + 1)
@@ -88,7 +90,9 @@ def _accel_coeffs(n: int):
     csum = np.cumsum(t)
     ek = (csum[-1] - csum[:-1]) / csum[-1]
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return (signs * ek).astype(np.complex128), np.log(np.arange(1.0, n + 1.0))
+    coeffs = (signs * ek).astype(np.complex128)
+    logk = np.log(np.arange(1.0, n + 1.0))
+    return coeffs, logk, coeffs * logk
 
 
 def _accel_terms_needed(t_abs: float, tol: float) -> int:
@@ -97,8 +101,9 @@ def _accel_terms_needed(t_abs: float, tol: float) -> int:
     return ((n + 31) // 32) * 32
 
 
-def eta_eval(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
-    """Dirichlet eta sum of (-1)^(n+1) / n^s for Re(s) > 0, accelerated."""
+def _eta_terms(s: complex, opts: EvalOptions):
+    """The weights, the log-weighted weights and k^-s of eta's accelerated
+    sum at s, after the domain and term-cap checks."""
     s = finite_argument(s, "eta")
     if s.real <= 0:
         raise DomainError(f"eta series requires Re(s) > 0, got {s}")
@@ -107,26 +112,45 @@ def eta_eval(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
         raise ConvergenceError(
             f"eta at {s} needs {n} accelerated terms > max_terms {opts.max_terms}"
         )
-    coeffs, logk = _accel_coeffs(n)
-    return complex(coeffs @ np.exp(-s * logk))
+    coeffs, logk, log_weighted = _accel_coeffs(n)
+    return coeffs, log_weighted, np.exp(-s * logk)
+
+
+def eta_eval(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
+    """Dirichlet eta sum of (-1)^(n+1) / n^s for Re(s) > 0, accelerated."""
+    coeffs, _, powers = _eta_terms(s, opts)
+    return complex(coeffs @ powers)
 
 
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin fallback (eta-denominator zeros s = 1 + 2 pi i k / ln 2)
 
 
-def _zeta_euler_maclaurin(s: complex, m: int = 12) -> complex:
+def _zeta_euler_maclaurin(s: complex, m: int = 12, derivative: bool = False):
+    """zeta(s) by Euler-Maclaurin summation to N = max(30, 1.3 |Im s|) with
+    m Bernoulli corrections.  With ``derivative`` it returns the pair
+    (zeta(s), zeta'(s)), zeta' from the same terms differentiated in s."""
     n_cut = max(30, int(1.3 * abs(s.imag)))
-    n = np.arange(1, n_cut + 1)
-    total = complex(np.sum(np.exp(-s * np.log(n))))
+    log_n = np.log(np.arange(1, n_cut + 1))
+    powers = np.exp(-s * log_n)
     ln_n = math.log(n_cut)
-    total += cmath.exp((1 - s) * ln_n) / (s - 1) - 0.5 * cmath.exp(-s * ln_n)
+    head = cmath.exp((1 - s) * ln_n) / (s - 1)
+    last = cmath.exp(-s * ln_n)
+    total = complex(np.sum(powers))
+    total += head - 0.5 * last
+    if derivative:
+        d_total = -complex(log_n @ powers) - head * (ln_n + 1 / (s - 1)) + 0.5 * ln_n * last
+        d_rising = 1.0
     rising = s
     for k in range(1, m + 1):
         coef = float(bernoulli_exact(2 * k)) / math.factorial(2 * k)
-        total += coef * rising * cmath.exp((1 - s - 2 * k) * ln_n)
+        power = cmath.exp((1 - s - 2 * k) * ln_n)
+        total += coef * rising * power
+        if derivative:
+            d_total += coef * (d_rising - ln_n * rising) * power
+            d_rising = d_rising * (s + 2 * k - 1) * (s + 2 * k) + rising * (2 * s + 4 * k - 1)
         rising = rising * (s + 2 * k - 1) * (s + 2 * k)
-    return total
+    return (total, d_total) if derivative else total
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +176,20 @@ def _zeta_small_s(s: complex) -> complex:
     return (math.pi / 2) * w * prefactor * (s * p - 1.0)
 
 
-def _zeta_right_half(s: complex) -> complex:
-    denom = 1.0 - 2 ** (1 - s)
+def _zeta_right_half(s: complex, derivative: bool = False):
+    """zeta(s) for Re s >= 1/2.  With ``derivative`` the pair
+    (zeta(s), zeta'(s)), both from the one k^-s vector of the eta sum."""
+    p = 2 ** (1 - s)
+    denom = 1.0 - p
     if abs(denom) < _ETA_FALLBACK_WINDOW:
-        return _zeta_euler_maclaurin(s)
-    return eta_eval(s, _RIGHT_HALF_OPTIONS) / denom
+        return _zeta_euler_maclaurin(s, derivative=derivative)
+    coeffs, log_weighted, powers = _eta_terms(s, _RIGHT_HALF_OPTIONS)
+    eta = complex(coeffs @ powers)
+    if not derivative:
+        return eta / denom
+    # zeta = eta / denom with denom' = p ln 2
+    d_eta = -complex(log_weighted @ powers)
+    return eta / denom, (d_eta - eta * p * _LN2 / denom) / denom
 
 
 def zeta_eval(s: complex) -> complex:
@@ -179,23 +212,32 @@ def f_factor(s: complex) -> complex:
 
     PoleError at the positive integers, the poles of Gamma(1-s).  Past
     |Im s| > 20 (the gamma threshold) the product is taken in log space,
-    where sin(pi s/2) alone would overflow long before f(s) does; below it
-    the direct product keeps the trivial zeros on the real axis exact.  Left
+    where sin(pi s/2) alone would overflow long before f(s) does.  Below it
+    the sine is taken about its nearest zero, so f(-2n) = 0 exactly.  Left
     of Re s = -170 and right of Re s = 143, where Gamma(1-s) leaves double
     range long before f(s) does, everything but the sine is taken in log
     space.  DomainError where f(s) itself leaves double range.
     """
-    s = complex(s)
+    s = finite_argument(s, "f")
     if abs(s.imag) <= POLE_WINDOW:
         r = round(s.real)
         if r >= 1 and abs(s.real - r) <= POLE_WINDOW:
             raise PoleError(float(r), index=r - 1)
-    if abs(s.imag) <= 20 and -170 <= s.real <= 143:
-        return 2**s * math.pi ** (s - 1) * cmath.sin(math.pi * s / 2) * gamma(1 - s)
-    head = s * _LN2 + (s - 1) * _LNPI
     if abs(s.imag) > 20:
+        head = s * _LN2 + (s - 1) * _LNPI
         return exp_in_range(head + _logsin_pi(s / 2) + loggamma(1 - s), "f", s)
-    return exp_in_range(head + loggamma(1 - s), "f", s, cmath.sin(math.pi * s / 2))
+    # sin(pi s/2) = (-1)^n sin(pi (s/2 - n)) about the nearest trivial zero
+    # s = -2n, so the zero is exact and the sine keeps its relative accuracy
+    n = round(s.real / 2)
+    sine = cmath.sin(math.pi * (s / 2 - n))
+    if n % 2:
+        sine = -sine
+    if -170 <= s.real <= 143:
+        return 2**s * math.pi ** (s - 1) * sine * gamma(1 - s)
+    if sine == 0:
+        return 0j
+    head = s * _LN2 + (s - 1) * _LNPI
+    return exp_in_range(head + loggamma(1 - s), "f", s, sine)
 
 
 def functional_rhs(s: complex) -> complex:
@@ -245,7 +287,7 @@ def completed_zeta(s: complex) -> complex:
     finite limit is taken through the reflected point, where both factors
     are regular.
     """
-    s = complex(s)
+    s = finite_argument(s, "completed zeta")
     if abs(s) < 1e-12:
         raise PoleError(0.0)
     if abs(s - 1) < 1e-12:
@@ -254,6 +296,31 @@ def completed_zeta(s: complex) -> complex:
     if abs(half.imag) <= 1e-9 and half.real < 0.5 and abs(half.real - round(half.real)) <= 1e-9:
         s = 1 - s
     return cmath.exp(completed_log_prefactor(s)) * zeta_eval(s)
+
+
+def completed_zeta_phase_logderiv(s: complex) -> tuple[float, complex]:
+    """(arg Lambda(s) mod 2 pi, Lambda'(s)/Lambda(s)) for the completed
+    zeta Lambda(s) = pi^(-s/2) Gamma(s/2) zeta(s), without forming Lambda.
+
+    Lambda(s) = Lambda(1-s), so both come from w = s or 1 - s, whichever has
+    Re w >= 1/2: arg Lambda(s) = Im log(pi^(-w/2) Gamma(w/2)) + arg zeta(w),
+    and Lambda'/Lambda(s) = +-(psi(w/2)/2 - ln(pi)/2 + zeta'(w)/zeta(w)).
+    zeta(w) and zeta'(w) come from one eta sum (or one Euler-Maclaurin sum
+    next to the eta-denominator zeros).  Neither value underflows where
+    Lambda itself does, past |Im s| ~ 945.  PoleError at 0 and 1;
+    DomainError where zeta(w) is exactly 0.
+    """
+    s = finite_argument(s, "completed zeta")
+    reflected = s.real < 0.5
+    w = 1 - s if reflected else s
+    if abs(w - 1) < 1e-12:
+        raise PoleError(0.0 if reflected else 1.0)
+    value, derivative = _zeta_right_half(w, derivative=True)
+    if value == 0:
+        raise DomainError(f"completed zeta is 0 at s = {s}; it has no phase or log-derivative")
+    phase = (completed_log_prefactor(w).imag + cmath.phase(value)) % (2 * math.pi)
+    logderiv = 0.5 * digamma(w / 2) - 0.5 * _LNPI + derivative / value
+    return phase, -logderiv if reflected else logderiv
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,28 @@ ZETA_FAR_LEFT = (
     (-141.25, -3.4807542425883930e+130),
     (-201.0, -1.8568690810125945e+216),
 )
+# next to the trivial zeros, where sin(pi s/2) is a small difference
+ZETA_NEAR_TRIVIAL = (
+    (-40.001, -4833140842762.8760),
+    (-60.0003, -1.6060869944676420e+30),
+    (-250.0001, 4.6105142782375651e+288),
+)
+# Lambda'/Lambda of the completed zeta: both sides of the line, out to
+# t ~ 990, and on the eta-denominator zeros 1 + 2 pi i k / ln 2 (k = 1, 100)
+# and the reflection 1 - s of the first
+COMPLETED_LOGDERIV = (
+    (complex(0.75, 2.5), complex(-0.058573597341990461, 0.87968985676704076)),
+    (complex(1.5, 30.0), complex(1.0695533592599978, 1.2427603670551519)),
+    (complex(0.5, 100.0), complex(2.2958874039497803e-41, 0.70528882343729455)),
+    (complex(-0.5, 20.0), complex(-0.60113539818362290, 1.2195980911445716)),
+    (complex(0.25, 300.0), complex(-3.1143406607517259, -0.69925301458081539)),
+    (complex(1.5, 990.0), complex(2.5231023194116717, 1.0868185371973536)),
+    (complex(-0.5, 960.0), complex(-2.0665115338704211, 0.27212206061761441)),
+    (complex(0.8, 945.5), complex(3.1939721731900946, 0.0068150243446397596)),
+    (complex(1.0, 9.064720283654388), complex(0.030055393524862242, 0.72021809793685688)),
+    (complex(0.0, 9.064720283654388), complex(-0.030055393524862242, 0.72021809793685688)),
+    (complex(1.0, 906.4720283654387), complex(1.6264288986872406, 0.41260289740898941)),
+)
 COMPLETED_HALF = -3.9769662255065129
 
 STIELTJES_REF = (

@@ -5,10 +5,21 @@ import sys
 
 import pytest
 
-from zetasphere.cli import main, parse_complex
+from zetasphere.cli import _EVAL_FUNCTIONS, main, parse_complex
 from zetasphere.errors import ZetasphereError
 
 from reference_values import ZETA_REFLECTED_HIGH
+
+# the name each eval function gives in its error for a NaN argument
+NAN_LABELS = {
+    "zeta": "zeta",
+    "eta": "eta",
+    "completed": "completed zeta",
+    "f": "f",
+    "f_abs": "f_abs_closed",
+    "gamma": "Gamma",
+    "digamma": "digamma",
+}
 
 
 def run_cli(*argv, env_extra=None):
@@ -82,6 +93,11 @@ class TestEval:
         proc = run_cli("eval", "zeta", "nan")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: zeta needs a finite argument")
+
+    @pytest.mark.parametrize("function", sorted(_EVAL_FUNCTIONS))
+    def test_nan_is_typed_and_names_the_function(self, function, capsys):
+        assert main(["eval", function, "nan"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {NAN_LABELS[function]} ")
 
     def test_unexpected_exception_exit_two(self, monkeypatch, capsys):
         import zetasphere.cli as cli

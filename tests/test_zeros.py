@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from zetasphere.errors import DomainError, NoSignChange, PhaseJumpError, ZetasphereError
+from zetasphere.errors import DomainError, NoSignChange, PhaseJumpError
 from zetasphere.zeros import (
     Rectangle,
     ZeroRecord,
@@ -16,7 +16,13 @@ from zetasphere.zeros import (
     z_real,
 )
 
-from reference_values import COMPLETED_HALF, ZERO_ORDINATES, ZEROS_BELOW_100, ZEROS_BELOW_1000
+from reference_values import (
+    COMPLETED_HALF,
+    ETA_DENOM_ZERO_IM,
+    ZERO_ORDINATES,
+    ZEROS_BELOW_100,
+    ZEROS_BELOW_1000,
+)
 
 
 class TestZReal:
@@ -123,10 +129,18 @@ class TestRectangleCount:
         with pytest.raises(PhaseJumpError):
             count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, ZERO_ORDINATES[0] + 1e-10))
 
-    def test_completed_zeta_underflow_is_typed(self):
-        # completed_zeta is exactly 0 on this boundary, past t ~ 945
-        with pytest.raises(ZetasphereError, match="underflowed"):
-            count_zeros_rectangle(Rectangle(-0.5, 1.5, 950.0, 960.0))
+    @pytest.mark.parametrize("y_min, y_max, count", [(950.0, 960.0, 9), (990.0, 1000.0, 9)])
+    def test_count_matches_scan_past_underflow(self, y_min, y_max, count):
+        # completed_zeta is exactly 0 on these boundaries, past t ~ 945; the
+        # phase and log-derivative are taken in log space
+        rect = Rectangle(-0.5, 1.5, y_min, y_max)
+        assert len(scan_zeros(y_min, y_max, 0.25)) == count_zeros_rectangle(rect) == count
+
+    def test_edge_on_eta_denominator_zero(self):
+        # the lower edge runs through 1 + 2 pi i / ln 2 and its reflection
+        # 0 + 2 pi i / ln 2, where the eta sum and its denominator both vanish
+        rect = Rectangle(-0.5, 1.5, ETA_DENOM_ZERO_IM, 30.0)
+        assert len(scan_zeros(ETA_DENOM_ZERO_IM, 30.0, 0.25)) == count_zeros_rectangle(rect) == 3
 
 
 class TestCatalogIO:

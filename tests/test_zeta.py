@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -12,7 +13,9 @@ from zetasphere.zeta import (
     _accel_coeffs,
     _accel_terms_needed,
     completed_zeta,
+    completed_zeta_phase_logderiv,
     eta_eval,
+    f_factor,
     euler_product_partial,
     even_limit_probe,
     even_zeta_rational,
@@ -24,6 +27,7 @@ from zetasphere.zeta import (
 
 from reference_values import (
     COMPLETED_HALF,
+    COMPLETED_LOGDERIV,
     ETA_DENOM_ZERO_IM,
     STIELTJES_REF,
     TABLE1_FRACTIONS,
@@ -31,6 +35,7 @@ from reference_values import (
     ZETA_AT_ETA_DENOM_ZERO,
     ZETA_FAR_LEFT,
     ZETA_HALF,
+    ZETA_NEAR_TRIVIAL,
     ZETA_REFLECTED_HIGH,
     ZETA_SPOT,
     ZETA_SPOT_ARG,
@@ -64,7 +69,7 @@ class TestEta:
     )
     def test_sum_matches_fsum_of_the_same_terms(self, s):
         n = _accel_terms_needed(abs(s.imag), DEFAULT_OPTIONS.tolerance)
-        coeffs, logk = _accel_coeffs(n)
+        coeffs, logk, _ = _accel_coeffs(n)
         terms = coeffs * np.exp(-s * logk)
         reference = complex(math.fsum(terms.real), math.fsum(terms.imag))
         scale = float(np.sum(np.abs(coeffs) * np.exp(-s.real * logk)))
@@ -138,6 +143,17 @@ class TestZeta:
     def test_value_beyond_double_range_is_typed(self):
         with pytest.raises(ZetasphereError):
             zeta_eval(-300.5)
+
+    def test_trivial_zeros_exact(self):
+        # the direct product below Re s = -170 and the log-space product
+        # beyond it both take sin(pi s/2) about the nearest zero
+        for n in range(1, 146):
+            assert zeta_eval(-2.0 * n) == 0
+            assert f_factor(-2.0 * n) == 0
+
+    def test_next_to_trivial_zeros(self):
+        for x, ref in ZETA_NEAR_TRIVIAL:
+            assert abs(zeta_eval(x) - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("s", [complex(math.nan, 1.0), complex(math.inf, 0.0), complex(0.5, -math.inf)])
     def test_non_finite_argument(self, s):
@@ -229,6 +245,38 @@ class TestCompletedZeta:
         # Gamma pole cancels the trivial zero; value matches the mirror side
         v = completed_zeta(-2 + 0j)
         assert abs(v - completed_zeta(3 + 0j)) <= 1e-9 * abs(v)
+
+
+class TestCompletedPhaseLogDerivative:
+    @pytest.mark.parametrize("s, ref", COMPLETED_LOGDERIV)
+    def test_log_derivative_matches_mpmath(self, s, ref):
+        _, logderiv = completed_zeta_phase_logderiv(s)
+        assert abs(logderiv - ref) <= 1e-12 * abs(ref)
+
+    def test_phase_matches_completed_zeta(self):
+        # wherever completed_zeta is a normal double; both sides of the line
+        # and inside the eta-denominator window
+        points = [complex(x, t) for x in (-1.5, -0.5, 0.2, 0.5, 0.9, 1.5, 3.0) for t in (2.0, 14.0, 37.3, 99.0)]
+        points += [complex(1.0, ETA_DENOM_ZERO_IM), complex(0.004, ETA_DENOM_ZERO_IM)]
+        for s in points:
+            phase, _ = completed_zeta_phase_logderiv(s)
+            assert 0.0 <= phase <= 2 * math.pi
+            step = (phase - cmath.phase(completed_zeta(s)) + math.pi) % (2 * math.pi) - math.pi
+            assert abs(step) <= 1e-12
+
+    def test_reaches_past_underflow(self):
+        # completed_zeta is exactly 0 here; its phase and log-derivative are not
+        s = complex(0.5, 960.0)
+        assert completed_zeta(s) == 0
+        phase, logderiv = completed_zeta_phase_logderiv(s)
+        assert math.isfinite(phase) and cmath.isfinite(logderiv)
+
+    def test_poles_and_non_finite(self):
+        for s in (0j, 1 + 0j):
+            with pytest.raises(PoleError):
+                completed_zeta_phase_logderiv(s)
+        with pytest.raises(DomainError):
+            completed_zeta_phase_logderiv(complex(math.nan, 5.0))
 
 
 class TestEvenZetaRational:

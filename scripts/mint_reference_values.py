@@ -24,6 +24,14 @@ def main():
     print("ABS_GAMMA_ONE_PLUS_I =", fmt(abs(mp.gamma(mp.mpc(1.0, 1.0)))))
     print("DIGAMMA_ONE =", fmt(mp.digamma(1)))
     print("DIGAMMA_TWO =", fmt(mp.digamma(2)))
+    # next to the poles, where the reflection's sin(pi s) is a small difference
+    print("GAMMA_NEAR_POLES = (")
+    for x in (-2.00001, -1.0000001, -3.000001, -20 - 1e-7):
+        s = mp.mpf(x)
+        lg = mp.loggamma(s)
+        print("    (%r, %s, complex(%s, %s), %s)," % (
+            x, fmt(mp.gamma(s)), fmt(lg.real), fmt(lg.imag), fmt(mp.digamma(s))))
+    print(")")
 
     print("# zeta")
     print("ZETA_HALF =", fmt(mp.zeta(mp.mpf(1) / 2)))

@@ -105,13 +105,14 @@ def _cmd_verify(args, cfg) -> int:
 
 
 def _cmd_extend(args, cfg) -> int:
+    computed_anchor = completed_zeta(0.5 + 0j).real
     if args.paper_anchor:
         ordinate = args.ordinate if args.ordinate is not None else PAPER_ORDINATE
         anchor = PAPER_ANCHOR
         anchor_source = "printed inputs"
     else:
         ordinate = args.ordinate if args.ordinate is not None else first_zero().ordinate
-        anchor = completed_zeta(0.5 + 0j).real
+        anchor = computed_anchor
         anchor_source = "computed completed zeta at 1/2"
     rmap, bd = mero.build_zeta_hat(ordinate, anchor)
     params = mero.zeta_hat_params(rmap, bd)
@@ -120,7 +121,10 @@ def _cmd_extend(args, cfg) -> int:
     params["ordinate"] = ordinate
     params["riemann_hurwitz_ok"] = mero.riemann_hurwitz_check(bd, 2, 2)
     c_paper = mero.build_zeta_hat(PAPER_ORDINATE, PAPER_ANCHOR)[0].constant.real
-    c_computed = mero.build_zeta_hat(ordinate, completed_zeta(0.5 + 0j).real)[0].constant.real
+    if args.paper_anchor:
+        c_computed = mero.build_zeta_hat(ordinate, computed_anchor)[0].constant.real
+    else:
+        c_computed = rmap.constant.real
     params["variants"] = {
         "paper_inputs_c": c_paper,
         "computed_anchor_c": c_computed,
@@ -128,7 +132,7 @@ def _cmd_extend(args, cfg) -> int:
             "discrepancy-flag: source prints c ~ 6.8046; its own inputs give "
             f"{c_paper:.6e} (1e-5 factor missing)",
             f"discrepancy-flag: source prints completed zeta(1/2) ~ {PAPER_ANCHOR}; "
-            f"the defining product gives {completed_zeta(0.5 + 0j).real:.6f}",
+            f"the defining product gives {computed_anchor:.6f}",
         ],
     }
     if args.json:

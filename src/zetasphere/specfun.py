@@ -120,10 +120,19 @@ def _gamma_lanczos_direct(z: complex, halves: bool = False) -> complex:
     return math.sqrt(2 * math.pi) * half * cmath.exp(-t) * half * _lanczos_sum(zm)
 
 
+def sin_pi(z: complex) -> complex:
+    """sin(pi z) as (-1)^n sin(pi (z - n)) about the nearest integer n, so
+    it is 0 exactly at the integers and keeps its relative accuracy next to
+    them, where the reflections divide by it."""
+    n = round(z.real)
+    sine = cmath.sin(math.pi * (z - n))
+    return -sine if n % 2 else sine
+
+
 def _logsin_pi(z: complex) -> complex:
     """log(sin(pi z)), stable for large |Im z| where sin itself overflows."""
     if abs(z.imag) < 10:
-        return cmath.log(cmath.sin(math.pi * z))
+        return cmath.log(sin_pi(z))
     w = 1j * math.pi * z
     if z.imag > 0:
         return cmath.log((cmath.exp(2 * w) - 1) / 2j) - w
@@ -170,7 +179,7 @@ def gamma(s: complex) -> complex:
         if s.real < -142:
             # sin(pi s) Gamma(1-s) overflows here; Gamma(s) itself only shrinks
             return cmath.exp(loggamma(s))
-        return math.pi / (cmath.sin(math.pi * s) * gamma(1 - s))
+        return math.pi / (sin_pi(s) * gamma(1 - s))
     # the whole power overflows from Re s ~ 142.2, Gamma only from ~171.6
     for halves in (False, True):
         try:
@@ -189,7 +198,7 @@ def digamma(s: complex) -> complex:
     if k is not None:
         raise PoleError(-k, index=k)
     if s.real < 0.5:
-        return digamma(1 - s) - math.pi / cmath.tan(math.pi * s)
+        return digamma(1 - s) - math.pi / cmath.tan(math.pi * (s - round(s.real)))
     acc = 0j
     while abs(s) < 10:
         acc -= 1 / s

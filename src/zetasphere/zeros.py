@@ -2,12 +2,8 @@
 
 The scanner works on the real-valued restriction of the completed zeta to
 the critical line.  Sign changes are detected on a uniform grid, then each
-bracket is tightened by a secant/bisection hybrid.  In practice it bisects:
-a secant step moves one end next to the root and leaves the other, so the
-next proposals fall within 10 % of that end, outside the guard band, until
-halving has shrunk the bracket to the root's distance from it.  A zero
-costs ~31.5 kernel evaluations, about log2(0.25 / 1e-9) = 28 halvings plus
-the ends; on [0, 100] ~3.4 of its ~29.5 steps are secant steps.
+bracket is tightened by bisection: a grid bracket of 0.25 takes
+log2(0.25 / 1e-9) = 28 halvings, 30 kernel evaluations with its two ends.
 
 An independent count of zeros inside a rectangle comes from the winding of
 the completed zeta along the boundary: trapezoid quadrature of its
@@ -18,7 +14,6 @@ per node, so neither underflows and the count reaches t = 1000.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -76,10 +71,7 @@ def z_real(t: float) -> float:
     The imaginary residual must stay below 1e-10 (1 + |Re|); anything larger
     means the evaluator itself broke, so it raises rather than returns.
     """
-    s = complex(0.5, t)
-    a = completed_log_prefactor(s)
-    zv = zeta_eval(s)
-    w = cmath.exp(a) * zv
+    w = completed_zeta(complex(0.5, t))
     if abs(w.imag) > 1e-10 * (1.0 + abs(w.real)):
         raise RealnessViolation(
             f"Im completed zeta at t={t} is {w.imag:.3e}, beyond the realness bound"
@@ -104,23 +96,18 @@ def _refine_bracket(a: float, b: float) -> tuple[float, float]:
         return a, a
     if fb == 0.0:
         return b, b
-    if fa * fb > 0:
+    a_negative = fa < 0
+    if a_negative == (fb < 0):
         raise NoSignChange(f"no sign change of Z across ({a}, {b})")
     while b - a > BRACKET_TOLERANCE:
-        # secant proposal, bisection whenever it lands outside the middle
-        # 80 %; next to a root found by secant it does, so in practice
-        # nearly every step bisects
-        m = a - fa * (b - a) / (fb - fa)
-        lo, hi = a + 0.1 * (b - a), b - 0.1 * (b - a)
-        if not lo <= m <= hi:
-            m = 0.5 * (a + b)
+        m = 0.5 * (a + b)
         fm = _sign_kernel(m)
         if fm == 0.0:
             return m, m
-        if fa * fm < 0:
-            b, fb = m, fm
+        if (fm < 0) == a_negative:
+            a = m
         else:
-            a, fa = m, fm
+            b = m
     return a, b
 
 

@@ -35,6 +35,7 @@ from .specfun import (
     finite_argument,
     gamma,
     loggamma,
+    sin_pi,
 )
 
 # gamma_0 .. gamma_4, frozen from the multiprecision pre-build oracle
@@ -198,7 +199,7 @@ def zeta_eval(s: complex) -> complex:
     DomainError where the value leaves double range (left of Re s ~ -291).
     """
     s = finite_argument(s, "zeta")
-    if abs(s - 1) < 1e-12:
+    if abs(s - 1) < POLE_WINDOW:
         raise PoleError(1.0, residue=1.0)
     if s.real >= 0.5:
         return _zeta_right_half(s)
@@ -226,12 +227,7 @@ def f_factor(s: complex) -> complex:
     if abs(s.imag) > 20:
         head = s * _LN2 + (s - 1) * _LNPI
         return exp_in_range(head + _logsin_pi(s / 2) + loggamma(1 - s), "f", s)
-    # sin(pi s/2) = (-1)^n sin(pi (s/2 - n)) about the nearest trivial zero
-    # s = -2n, so the zero is exact and the sine keeps its relative accuracy
-    n = round(s.real / 2)
-    sine = cmath.sin(math.pi * (s / 2 - n))
-    if n % 2:
-        sine = -sine
+    sine = sin_pi(s / 2)
     if -170 <= s.real <= 143:
         return 2**s * math.pi ** (s - 1) * sine * gamma(1 - s)
     if sine == 0:
@@ -248,11 +244,11 @@ def functional_rhs(s: complex) -> complex:
     integers resolve the resulting 0*inf through even_limit_probe instead.
     """
     s = complex(s)
-    if abs(s.imag) <= 1e-12:
+    if abs(s.imag) <= POLE_WINDOW:
         r = round(s.real)
-        if r >= 1 and abs(s.real - r) <= 1e-12:
+        if r >= 1 and abs(s.real - r) <= POLE_WINDOW:
             raise DomainError(f"Gamma(1-s) pole at s={s}; use even_limit_probe for even s")
-        if abs(s.real) <= 1e-12:
+        if abs(s.real) <= POLE_WINDOW:
             raise DomainError("zeta(1-s) pole at s=0; zeta_eval takes the limit")
     return f_factor(s) * zeta_eval(1 - s)
 
@@ -288,9 +284,9 @@ def completed_zeta(s: complex) -> complex:
     are regular.
     """
     s = finite_argument(s, "completed zeta")
-    if abs(s) < 1e-12:
+    if abs(s) < POLE_WINDOW:
         raise PoleError(0.0)
-    if abs(s - 1) < 1e-12:
+    if abs(s - 1) < POLE_WINDOW:
         raise PoleError(1.0)
     half = s / 2
     if abs(half.imag) <= 1e-9 and half.real < 0.5 and abs(half.real - round(half.real)) <= 1e-9:
@@ -313,7 +309,7 @@ def completed_zeta_phase_logderiv(s: complex) -> tuple[float, complex]:
     s = finite_argument(s, "completed zeta")
     reflected = s.real < 0.5
     w = 1 - s if reflected else s
-    if abs(w - 1) < 1e-12:
+    if abs(w - 1) < POLE_WINDOW:
         raise PoleError(0.0 if reflected else 1.0)
     value, derivative = _zeta_right_half(w, derivative=True)
     if value == 0:
@@ -414,7 +410,7 @@ def laurent_eval(s: complex, data: LaurentData | None = None) -> complex:
     data = data if data is not None else LaurentData()
     s = complex(s)
     h = s - 1
-    if abs(h) < 1e-12:
+    if abs(h) < POLE_WINDOW:
         raise PoleError(1.0, residue=1.0)
     if abs(h) >= 1:
         raise DomainError("laurent_eval valid only for 0 < |s-1| < 1")

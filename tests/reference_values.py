@@ -12,6 +12,14 @@ ABS_GAMMA_HALF_PLUS_I = 0.52059096361675195
 ABS_GAMMA_ONE_PLUS_I = 0.52156404686493984
 DIGAMMA_ONE = -0.57721566490153286
 DIGAMMA_TWO = 0.42278433509846714
+# next to the poles, where the reflection's sin(pi s) is a small difference:
+# (s, Gamma(s), log Gamma(s), psi(s))
+GAMMA_NEAR_POLES = (
+    (-2.00001, -49999.538616870981, complex(10.819769056705128, -9.4247779607693797), 100000.92275473063),
+    (-1.0000001, 9999999.5713771343, complex(16.118095608096032, -6.2831853071795865), 10000000.416945399),
+    (-3.000001, 166666.45729080759, complex(12.023749832480276, -12.566370614359173), 1000001.2559748844),
+    (-20.0000001, -4.1103163337475477e-12, complex(-26.217521123533649, -65.973445725385658), 10000002.903662695),
+)
 
 ZETA_HALF = -1.4603545088095868
 ZETA_THREE = 1.2020569031595943

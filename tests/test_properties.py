@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zetasphere.flow import FlowParams, flow_map, transport_divisor
 from zetasphere.mero import (
@@ -88,6 +88,7 @@ class TestGammaBatteries:
 
     @BATTERY
     @given(finite_complex)
+    @example(complex(-2.00001, 0))
     def test_recurrence(self, s):
         near_pole = abs(s.imag) < 1e-5 and s.real < 0.6 and abs(s.real - round(s.real)) < 1e-5
         if near_pole or abs(s) < 1e-6:

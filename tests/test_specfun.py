@@ -24,6 +24,7 @@ from reference_values import (
     DIGAMMA_ONE,
     DIGAMMA_TWO,
     GAMMA_HALF_PLUS_I,
+    GAMMA_NEAR_POLES,
     GAMMA_QUARTER,
 )
 
@@ -46,6 +47,15 @@ class TestGamma:
             gamma(complex(-k, 0.0))
         assert exc.value.index == k
         assert exc.value.residue == pytest.approx((-1.0) ** k / math.factorial(k))
+
+    @pytest.mark.parametrize("s, value, log_value, psi", GAMMA_NEAR_POLES)
+    def test_next_to_poles(self, s, value, log_value, psi):
+        # the reflection's sin(pi s) is taken about the nearest integer
+        assert abs(gamma(s) - value) <= 1e-13 * abs(value)
+        assert abs(digamma(s) - psi) <= 1e-13 * abs(psi)
+        diff = loggamma(s) - log_value
+        turns = round(diff.imag / (2 * math.pi))
+        assert abs(diff - 2j * math.pi * turns) <= 1e-13 * abs(log_value)
 
     def test_near_pole_large_value_is_not_an_error(self):
         # 1e-9 away from the pole is outside the 1e-12 detection window

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from zetasphere import zeros
 from zetasphere.errors import DomainError, NoSignChange, PhaseJumpError
+from zetasphere.zeta import completed_zeta
 from zetasphere.zeros import (
     Rectangle,
     ZeroRecord,
@@ -26,6 +28,10 @@ from reference_values import (
 
 
 class TestZReal:
+    def test_is_the_completed_zeta_on_the_line(self):
+        for t in (0.0, 14.134725, -21.0, 100.5, 450.25, 990.0):
+            assert z_real(t) == completed_zeta(complex(0.5, t)).real
+
     def test_value_at_zero(self):
         assert z_real(0.0) == pytest.approx(COMPLETED_HALF, rel=1e-12)
 
@@ -41,6 +47,16 @@ class TestZReal:
 
 
 class TestRefine:
+    def test_bisection_halves_to_the_tolerance(self, monkeypatch):
+        calls = []
+        kernel = zeros._sign_kernel
+        monkeypatch.setattr(zeros, "_sign_kernel", lambda t: calls.append(t) or kernel(t))
+        rec = refine_zero((14.0, 14.25))
+        # the two ends and 28 halvings: 0.25 / 2**28 < 1e-9 < 0.25 / 2**27
+        assert len(calls) == 30
+        assert rec.bracket[1] - rec.bracket[0] < 1e-9
+        assert abs(rec.ordinate - ZERO_ORDINATES[0]) < 1e-9
+
     def test_first_zero(self):
         rec = refine_zero((14.0, 14.3))
         assert rec.ordinate == pytest.approx(ZERO_ORDINATES[0], abs=1e-6)

@@ -121,10 +121,7 @@ def _cmd_extend(args, cfg) -> int:
     params["ordinate"] = ordinate
     params["riemann_hurwitz_ok"] = mero.riemann_hurwitz_check(bd, 2, 2)
     c_paper = mero.build_zeta_hat(PAPER_ORDINATE, PAPER_ANCHOR)[0].constant.real
-    if args.paper_anchor:
-        c_computed = mero.build_zeta_hat(ordinate, computed_anchor)[0].constant.real
-    else:
-        c_computed = rmap.constant.real
+    c_computed = mero.build_zeta_hat(ordinate, computed_anchor)[0].constant.real
     params["variants"] = {
         "paper_inputs_c": c_paper,
         "computed_anchor_c": c_computed,

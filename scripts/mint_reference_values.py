@@ -90,6 +90,14 @@ def main():
     print(")")
     ctilde = mp.pi ** (-mp.mpf(1) / 4) * mp.gamma(mp.mpf(1) / 4) * mp.zeta(mp.mpf(1) / 2)
     print("COMPLETED_HALF =", fmt(ctilde))
+    # the completed zeta left of Re s ~ -291, where zeta(s) alone leaves
+    # double range; taken directly at s, not through Lambda(s) = Lambda(1 - s)
+    print("COMPLETED_FAR_LEFT = (")
+    for s0 in ((-300.5, 0.0), (-350.25, 20.0), (-400.0, -45.0), (-437.0, 0.0)):
+        s = mp.mpc(*s0)
+        c = mp.pi ** (-s / 2) * mp.gamma(s / 2) * mp.zeta(s)
+        print("    (complex%r, complex(%s, %s))," % (s0, fmt(c.real), fmt(c.imag)))
+    print(")")
 
     print("# stieltjes")
     for k in range(5):

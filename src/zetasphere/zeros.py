@@ -8,8 +8,10 @@ log2(0.25 / 1e-9) = 28 halvings, 30 kernel evaluations with its two ends.
 An independent count of zeros inside a rectangle comes from the winding of
 the completed zeta along the boundary: trapezoid quadrature of its
 log-derivative with adaptive halving, phase-step guarded.  The
-log-derivative is analytic and the phase is taken in log space, one eta sum
-per node, so neither underflows and the count reaches t = 1000.
+log-derivative is analytic and the phase is taken in log space, so neither
+underflows and the count reaches t = 1000.  A node left of the critical line
+is the conjugate of its mirror image across Re s = 1/2, so a contour
+symmetric about the line costs one eta sum per mirror pair of nodes.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import (
     DomainError,
     NoSignChange,
     PhaseJumpError,
+    PoleError,
     RealnessViolation,
 )
 from .modulus import criterion_ratio
@@ -162,10 +165,13 @@ def count_zeros_rectangle(rect: Rectangle) -> int:
 
     Trapezoid on the boundary with adaptive halving; a segment is split
     until its endpoint phase step drops below pi/4 AND its own two-level
-    trapezoid estimates agree.  Each node costs one eta sum: the phase of zt
-    and the log-derivative zt'/zt come analytically from
-    ``completed_zeta_phase_logderiv``, in log space, so the count works out
-    to t = 1000, where zt itself underflows.  Raises PhaseJumpError when
+    trapezoid estimates agree.  The phase of zt and the log-derivative
+    zt'/zt come analytically from ``completed_zeta_phase_logderiv``, in log
+    space, so the count works out to t = 1000, where zt itself underflows.
+    Since zt(s) = conj zt(1 - conj s), a node z left of Re s = 1/2 takes
+    (-phase, -conj(zt'/zt)) of its mirror image 1 - conj z, and a contour
+    symmetric about the line costs one eta sum per mirror pair of nodes;
+    the cache lives for one call.  Raises PhaseJumpError when
     refinement cannot get adjacent phases within pi/2 (boundary hugging a
     zero).
     """
@@ -179,8 +185,25 @@ def count_zeros_rectangle(rect: Rectangle) -> int:
     cache: dict[complex, tuple[float, complex]] = {}
 
     def node(z: complex) -> tuple[float, complex]:
-        if z not in cache:
+        if z in cache:
+            return cache[z]
+        if z.real >= 0.5:
             cache[z] = completed_zeta_phase_logderiv(z)
+            return cache[z]
+        # zt(z) = conj zt(m) at the mirror image m across Re s = 1/2
+        m = complex(1.0 - z.real, z.imag)
+        if m not in cache:
+            try:
+                cache[m] = completed_zeta_phase_logderiv(m)
+            except PoleError:
+                # Re m >= 1/2, so m is next to the pole at 1 and z next to 0
+                raise PoleError(0.0) from None
+            except DomainError as exc:
+                raise DomainError(
+                    f"completed zeta has no phase or log-derivative at s = {z}"
+                ) from exc
+        phase, logderiv = cache[m]
+        cache[z] = (-phase % (2 * math.pi), -logderiv.conjugate())
         return cache[z]
 
     def g(z: complex) -> complex:

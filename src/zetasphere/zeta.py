@@ -279,19 +279,19 @@ def completed_log_prefactor(s: complex) -> complex:
 def completed_zeta(s: complex) -> complex:
     """pi^(-s/2) Gamma(s/2) zeta(s); poles at 0 and 1.
 
-    At negative even integers the Gamma pole cancels the trivial zero; the
-    finite limit is taken through the reflected point, where both factors
-    are regular.
+    Left of Re s = 1/2 it is taken at 1 - s (Lambda(s) = Lambda(1 - s)), so
+    the Gamma poles at the negative even integers never meet the trivial
+    zeros, and far left, where zeta(s) leaves double range, Lambda does not.
+    DomainError where Lambda itself leaves double range (Re s ~ 438.5 or
+    ~ -437.5 on the real axis).
     """
     s = finite_argument(s, "completed zeta")
     if abs(s) < POLE_WINDOW:
         raise PoleError(0.0)
     if abs(s - 1) < POLE_WINDOW:
         raise PoleError(1.0)
-    half = s / 2
-    if abs(half.imag) <= 1e-9 and half.real < 0.5 and abs(half.real - round(half.real)) <= 1e-9:
-        s = 1 - s
-    return cmath.exp(completed_log_prefactor(s)) * zeta_eval(s)
+    w = 1 - s if s.real < 0.5 else s
+    return exp_in_range(completed_log_prefactor(w), "completed zeta", s, zeta_eval(w))
 
 
 def completed_zeta_phase_logderiv(s: complex) -> tuple[float, complex]:

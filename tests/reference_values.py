@@ -61,6 +61,14 @@ COMPLETED_LOGDERIV = (
     (complex(1.0, 906.4720283654387), complex(1.6264288986872406, 0.41260289740898941)),
 )
 COMPLETED_HALF = -3.9769662255065129
+# the completed zeta left of Re s ~ -291, where zeta(s) alone leaves double
+# range, out to where Lambda itself does
+COMPLETED_FAR_LEFT = (
+    (complex(-300.5, 0.0), complex(1.8503590332798572e+187, 0.0)),
+    (complex(-350.25, 20.0), complex(-4.8065358828825600e+229, -3.4865902205833898e+229)),
+    (complex(-400.0, -45.0), complex(2.4293515069126363e+273, -2.2394964471822843e+273)),
+    (complex(-437.0, 0.0), complex(6.3092919858260908e+307, 0.0)),
+)
 
 STIELTJES_REF = (
     0.57721566490153286,

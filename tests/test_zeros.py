@@ -1,9 +1,10 @@
+import gc
 import json
 
 import pytest
 
 from zetasphere import zeros
-from zetasphere.errors import DomainError, NoSignChange, PhaseJumpError
+from zetasphere.errors import DomainError, NoSignChange, PhaseJumpError, PoleError
 from zetasphere.zeros import (
     Rectangle,
     ZeroRecord,
@@ -124,6 +125,52 @@ class TestRectangleCount:
         # factor of the criterion points leaves double range
         rect = Rectangle(-0.5, 1.5, 440.2, 470.3)
         assert len(scan_zeros(440.2, 470.3, 0.25)) == count_zeros_rectangle(rect) == 20
+
+    def test_asymmetric_rectangle_to_100(self):
+        # -0.25 and 1.75 are not mirror images, so few nodes are shared
+        assert count_zeros_rectangle(Rectangle(-0.25, 1.75, 1.0, 100.0)) == ZEROS_BELOW_100
+
+    def test_left_nodes_come_from_their_mirror_images(self, monkeypatch):
+        calls = []
+        evaluate = zeros.completed_zeta_phase_logderiv
+        monkeypatch.setattr(
+            zeros, "completed_zeta_phase_logderiv", lambda s: calls.append(s) or evaluate(s)
+        )
+        assert count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, 30.0)) == 3
+        assert all(s.real >= 0.5 for s in calls)
+        assert len(set(calls)) == len(calls)
+        # the quadrature visits 824 contour nodes here, 2 of them on the line
+        assert len(calls) <= (824 + 2) // 2
+
+    def test_zero_at_a_mirror_node_names_the_contour_point(self, monkeypatch):
+        evaluate = zeros.completed_zeta_phase_logderiv
+
+        def zero_right_edge(s):
+            if s.real == 1.5:
+                raise DomainError(f"completed zeta is 0 at s = {s}")
+            return evaluate(s)
+
+        monkeypatch.setattr(zeros, "completed_zeta_phase_logderiv", zero_right_edge)
+        with pytest.raises(DomainError, match=r"s = \(-0\.5\+"):
+            count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, 30.0))
+
+    def test_pole_at_a_mirror_node_is_the_contour_points_pole(self):
+        # the bottom edge's midpoint sits 1e-13 above the pole at 0; its
+        # mirror image sits next to the pole at 1, which is off the contour
+        with pytest.raises(PoleError) as info:
+            count_zeros_rectangle(Rectangle(-0.25, 0.25, 1e-13, 1.0))
+        assert info.value.point == 0.0
+
+    def test_count_leaves_no_reference_cycles(self):
+        # a node cache kept alive by a cycle would outlive the call until a
+        # full collection
+        gc.collect()
+        gc.disable()
+        try:
+            count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, 30.0))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_validation(self):
         with pytest.raises(DomainError):

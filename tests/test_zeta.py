@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from zetasphere.zeta import (
 )
 
 from reference_values import (
+    COMPLETED_FAR_LEFT,
     COMPLETED_HALF,
     COMPLETED_LOGDERIV,
     ETA_DENOM_ZERO_IM,
@@ -246,12 +248,33 @@ class TestCompletedZeta:
         v = completed_zeta(-2 + 0j)
         assert abs(v - completed_zeta(3 + 0j)) <= 1e-9 * abs(v)
 
+    @pytest.mark.parametrize("s, ref", COMPLETED_FAR_LEFT)
+    def test_far_left_past_zeta_overflow(self, s, ref):
+        assert abs(completed_zeta(s) - ref) <= 1e-12 * abs(ref)
+
+    def test_value_beyond_double_range_is_typed(self):
+        for x in (-438.0, 439.0):
+            with pytest.raises(DomainError):
+                completed_zeta(x)
+
 
 class TestCompletedPhaseLogDerivative:
     @pytest.mark.parametrize("s, ref", COMPLETED_LOGDERIV)
     def test_log_derivative_matches_mpmath(self, s, ref):
         _, logderiv = completed_zeta_phase_logderiv(s)
         assert abs(logderiv - ref) <= 1e-12 * abs(ref)
+
+    def test_mirror_image_is_the_conjugate(self):
+        # Lambda(s) = conj Lambda(1 - conj s), so the phase negates and
+        # Lambda'/Lambda(s) = -conj Lambda'/Lambda(1 - conj s)
+        rng = random.Random(20130)
+        for _ in range(60):
+            s = complex(rng.uniform(-1.5, 2.5), rng.uniform(1.0, 1000.0))
+            phase, logderiv = completed_zeta_phase_logderiv(s)
+            m_phase, m_logderiv = completed_zeta_phase_logderiv(1 - s.conjugate())
+            step = (m_phase + phase + math.pi) % (2 * math.pi) - math.pi
+            assert abs(step) <= 1e-12
+            assert abs(m_logderiv + logderiv.conjugate()) <= 1e-12 * abs(logderiv)
 
     def test_phase_matches_completed_zeta(self):
         # wherever completed_zeta is a normal double; both sides of the line

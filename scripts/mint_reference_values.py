@@ -32,6 +32,14 @@ def main():
         print("    (%r, %s, complex(%s, %s), %s)," % (
             x, fmt(mp.gamma(s)), fmt(lg.real), fmt(lg.imag), fmt(mp.digamma(s))))
     print(")")
+    # log Gamma in 0 < Re s < 1/2, taken by one shift from Re s + 1; out to
+    # Im s = 500, the sign kernel's log Gamma(s/2) at t = 1000
+    print("LOGGAMMA_STRIP = (")
+    for s0 in ((0.25, 0.0), (0.001, 0.002), (0.01, 0.5), (0.1, -3.0), (0.25, 7.0),
+               (0.4999, 20.0), (0.3, -250.0), (0.25, 500.0)):
+        lg = mp.loggamma(mp.mpc(*s0))
+        print("    (complex%r, complex(%s, %s))," % (s0, fmt(lg.real), fmt(lg.imag)))
+    print(")")
 
     print("# zeta")
     print("ZETA_HALF =", fmt(mp.zeta(mp.mpf(1) / 2)))

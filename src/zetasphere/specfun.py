@@ -1,7 +1,9 @@
 """Complex Gamma, log-Gamma, digamma, and the closed-form Gamma moduli.
 
 The Gamma core is a Lanczos rational approximation (g = 7, 9 terms,
-~15 significant digits) with Euler reflection below Re(s) = 1/2.  Large
+~15 significant digits) with Euler reflection below Re(s) = 1/2.  log Gamma
+reflects only for Re(s) <= 0; in 0 < Re(s) < 1/2 it takes one shift,
+log Gamma(s) = log Gamma(s + 1) - log s, which needs no sine.  Large
 imaginary parts route through log space, and the Lanczos power is split in
 two halves where it alone would overflow, so nothing overflows before the
 value itself leaves double range; there a DomainError names the point.
@@ -143,14 +145,23 @@ def loggamma(s: complex) -> complex:
     """log Gamma(s); imaginary part consistent modulo 2*pi.
 
     Used wherever Gamma itself would leave double range (completed zeta at
-    large |Im s|, the critical-line sign kernel).
+    large |Im s|, the critical-line sign kernel).  For 0 < Re s < 1/2 it is
+    log Gamma(s + 1) - log s, one Lanczos sum and no sine; the reflection
+    is kept for Re s <= 0.
     """
     s = finite_argument(s, "loggamma")
     k = _nonpositive_integer_index(s)
     if k is not None:
         raise PoleError(-k, residue=(-1.0) ** k / math.factorial(k), index=k)
+    if s.real <= 0:
+        return math.log(math.pi) - _logsin_pi(s) - _loggamma_lanczos(1 - s)
     if s.real < 0.5:
-        return math.log(math.pi) - _logsin_pi(s) - loggamma(1 - s)
+        return _loggamma_lanczos(s + 1) - cmath.log(s)
+    return _loggamma_lanczos(s)
+
+
+def _loggamma_lanczos(s: complex) -> complex:
+    """The Lanczos sum in log space; accurate for Re(s) >= 1/2."""
     zm = s - 1
     t = zm + _LANCZOS_G + 0.5
     return (

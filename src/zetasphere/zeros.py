@@ -3,7 +3,8 @@
 The scanner works on the real-valued restriction of the completed zeta to
 the critical line.  Sign changes are detected on a uniform grid, then each
 bracket is tightened by bisection: a grid bracket of 0.25 takes
-log2(0.25 / 1e-9) = 28 halvings, 30 kernel evaluations with its two ends.
+log2(0.25 / 1e-9) = 28 halvings, 28 kernel evaluations, since its two ends
+come from the grid (30 for a bracket refined on its own).
 
 An independent count of zeros inside a rectangle comes from the winding of
 the completed zeta along the boundary: trapezoid quadrature of its
@@ -92,9 +93,7 @@ def _sign_kernel(t: float) -> float:
     return math.cos(a.imag) * zv.real - math.sin(a.imag) * zv.imag
 
 
-def _refine_bracket(a: float, b: float) -> tuple[float, float]:
-    fa = _sign_kernel(a)
-    fb = _sign_kernel(b)
+def _refine_bracket(a: float, b: float, fa: float, fb: float) -> tuple[float, float]:
     if fa == 0.0:
         return a, a
     if fb == 0.0:
@@ -114,13 +113,20 @@ def _refine_bracket(a: float, b: float) -> tuple[float, float]:
     return a, b
 
 
-def refine_zero(bracket: tuple[float, float]) -> ZeroRecord:
+def refine_zero(
+    bracket: tuple[float, float], *, ends: tuple[float, float] | None = None
+) -> ZeroRecord:
     """Tighten a sign-change bracket to width < 1e-9 and record residual and
-    criterion value at the located ordinate."""
+    criterion value at the located ordinate.
+
+    ``ends`` are the kernel values at the two bracket ends when the caller
+    already has them (the scan's grid); without them they are evaluated.
+    """
     a, b = bracket
     if not a < b:
         raise DomainError("bracket must be an increasing pair")
-    a, b = _refine_bracket(a, b)
+    fa, fb = (_sign_kernel(a), _sign_kernel(b)) if ends is None else ends
+    a, b = _refine_bracket(a, b, fa, fb)
     t = 0.5 * (a + b)
     residual = abs(completed_zeta(complex(0.5, t)))
     criterion = criterion_ratio(complex(0.5, abs(t)), CRITERION_RADIUS)
@@ -146,10 +152,11 @@ def scan_zeros(t0: float, t1: float, step: float) -> list[ZeroRecord]:
         t = t0 + i * step
         v = _sign_kernel(t)
         if prev_v == 0.0 or prev_v * v < 0:
-            brackets.append((prev_t, t))
+            brackets.append(((prev_t, t), (prev_v, v)))
         prev_t, prev_v = t, v
     deduped: list[ZeroRecord] = []
-    for rec in map(refine_zero, brackets):
+    for bracket, ends in brackets:
+        rec = refine_zero(bracket, ends=ends)
         if deduped and abs(rec.ordinate - deduped[-1].ordinate) < 10 * BRACKET_TOLERANCE:
             continue
         deduped.append(rec)

@@ -104,8 +104,7 @@ def _accel_terms_needed(t_abs: float, tol: float) -> int:
 
 def _eta_terms(s: complex, opts: EvalOptions):
     """The weights, the log-weighted weights and k^-s of eta's accelerated
-    sum at s, after the domain and term-cap checks."""
-    s = finite_argument(s, "eta")
+    sum at a finite s, after the domain and term-cap checks."""
     if s.real <= 0:
         raise DomainError(f"eta series requires Re(s) > 0, got {s}")
     n = _accel_terms_needed(abs(s.imag), opts.tolerance)
@@ -119,7 +118,7 @@ def _eta_terms(s: complex, opts: EvalOptions):
 
 def eta_eval(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
     """Dirichlet eta sum of (-1)^(n+1) / n^s for Re(s) > 0, accelerated."""
-    coeffs, _, powers = _eta_terms(s, opts)
+    coeffs, _, powers = _eta_terms(finite_argument(s, "eta"), opts)
     return complex(coeffs @ powers)
 
 

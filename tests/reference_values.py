@@ -20,6 +20,18 @@ GAMMA_NEAR_POLES = (
     (-3.000001, 166666.45729080759, complex(12.023749832480276, -12.566370614359173), 1000001.2559748844),
     (-20.0000001, -4.1103163337475477e-12, complex(-26.217521123533649, -65.973445725385658), 10000002.903662695),
 )
+# log Gamma in 0 < Re s < 1/2, out to Im s = 500 (the sign kernel's
+# log Gamma(s/2) at t = 1000): (s, log Gamma(s))
+LOGGAMMA_STRIP = (
+    (complex(0.25, 0.0), complex(1.2880225246980775, 0.0)),
+    (complex(0.001, 0.002), complex(6.1024566441047245, -1.1082998584608747)),
+    (complex(0.01, 0.5), complex(0.49876617346312734, -1.7877713903346784)),
+    (complex(0.1, -3.0), complex(-4.2322187002605599, 0.34534020121158046)),
+    (complex(0.25, 7.0), complex(-10.562953339040002, 6.2301605005296513)),
+    (complex(0.4999, 20.0), complex(-30.497287565499385, 39.916572028590594)),
+    (complex(0.3, -250.0), complex(-392.88443523709164, -1130.0511568669267)),
+    (complex(0.25, 500.0), complex(-786.03287685759917, 2606.9113709627317)),
+)
 
 ZETA_HALF = -1.4603545088095868
 ZETA_THREE = 1.2020569031595943

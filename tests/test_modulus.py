@@ -1,7 +1,10 @@
+import cmath
 import math
+import random
 
 import pytest
 
+from zetasphere import modulus
 from zetasphere.errors import DomainError, PoleError
 from zetasphere.modulus import (
     ModulusBreakdown,
@@ -126,6 +129,26 @@ class TestCriterion:
         value = criterion_ratio(s0, 1e-4)
         assert value == pytest.approx(f_abs_product(s0), abs=1e-6)
         assert abs(value - 1.0) > 0.1
+
+    @pytest.mark.parametrize("s0, evaluations", [(complex(0.5, 7.3), 8), (complex(0.3, 2.0), 16)])
+    def test_each_point_is_evaluated_once(self, monkeypatch, s0, evaluations):
+        # on the line the denominator circle is the numerator circle
+        calls = []
+        monkeypatch.setattr(modulus, "zeta_eval", lambda s: calls.append(s) or zeta_eval(s))
+        criterion_ratio(s0, 1e-4)
+        assert len(calls) == evaluations
+
+    def test_matches_the_sixteen_evaluation_loop(self):
+        rng = random.Random(8)
+        for i in range(30):
+            x = 0.5 if i % 2 else rng.uniform(0.05, 0.95)
+            s0 = complex(x, rng.uniform(-300.0, 300.0))
+            total = 0.0
+            for j in range(8):
+                s = s0 + 1e-4 * cmath.exp(2j * math.pi * j / 8)
+                total += abs(zeta_eval(s)) / abs(zeta_eval(1 - s))
+            old = total / 8
+            assert abs(criterion_ratio(s0, 1e-4) - old) <= 1e-13 * old, s0
 
     def test_radius_validation(self):
         with pytest.raises(DomainError):

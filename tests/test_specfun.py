@@ -26,6 +26,7 @@ from reference_values import (
     GAMMA_HALF_PLUS_I,
     GAMMA_NEAR_POLES,
     GAMMA_QUARTER,
+    LOGGAMMA_STRIP,
 )
 
 
@@ -53,6 +54,13 @@ class TestGamma:
         # the reflection's sin(pi s) is taken about the nearest integer
         assert abs(gamma(s) - value) <= 1e-13 * abs(value)
         assert abs(digamma(s) - psi) <= 1e-13 * abs(psi)
+        diff = loggamma(s) - log_value
+        turns = round(diff.imag / (2 * math.pi))
+        assert abs(diff - 2j * math.pi * turns) <= 1e-13 * abs(log_value)
+
+    @pytest.mark.parametrize("s, log_value", LOGGAMMA_STRIP)
+    def test_loggamma_in_the_left_half_strip(self, s, log_value):
+        # taken as log Gamma(s + 1) - log s
         diff = loggamma(s) - log_value
         turns = round(diff.imag / (2 * math.pi))
         assert abs(diff - 2j * math.pi * turns) <= 1e-13 * abs(log_value)

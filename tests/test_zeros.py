@@ -53,6 +53,21 @@ class TestRefine:
         assert rec.bracket[1] - rec.bracket[0] < 1e-9
         assert abs(rec.ordinate - ZERO_ORDINATES[0]) < 1e-9
 
+    def test_given_ends_give_the_same_record(self, monkeypatch):
+        bracket = (14.0, 14.25)
+        ends = (zeros._sign_kernel(14.0), zeros._sign_kernel(14.25))
+        calls = []
+        kernel = zeros._sign_kernel
+        monkeypatch.setattr(zeros, "_sign_kernel", lambda t: calls.append(t) or kernel(t))
+        rec = refine_zero(bracket, ends=ends)
+        assert len(calls) == 28
+        assert rec == refine_zero(bracket)
+
+    def test_given_ends_of_one_sign_raise(self):
+        ends = (zeros._sign_kernel(13.0), zeros._sign_kernel(13.5))
+        with pytest.raises(NoSignChange):
+            refine_zero((13.0, 13.5), ends=ends)
+
     def test_first_zero(self):
         rec = refine_zero((14.0, 14.3))
         assert rec.ordinate == pytest.approx(ZERO_ORDINATES[0], abs=1e-6)
@@ -76,6 +91,14 @@ class TestScan:
         assert len(records) == 3
         for rec, target in zip(records, ZERO_ORDINATES[:3]):
             assert rec.ordinate == pytest.approx(target, abs=1e-6)
+
+    def test_bracket_ends_come_from_the_grid(self, monkeypatch):
+        calls = []
+        kernel = zeros._sign_kernel
+        monkeypatch.setattr(zeros, "_sign_kernel", lambda t: calls.append(t) or kernel(t))
+        assert len(scan_zeros(10.0, 30.0, 0.25)) == 3
+        # 81 grid points, then 28 halvings per bracket
+        assert len(calls) == 81 + 3 * 28
 
     def test_empty_below_first_zero(self):
         assert scan_zeros(0.0, 10.0, 0.25) == []

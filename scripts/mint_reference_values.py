@@ -6,6 +6,8 @@ toolkit itself never imports mpmath; everything the tests assert against
 is frozen output of this script (plus exact rationals and closed forms).
 """
 
+import math
+
 import mpmath as mp
 
 mp.mp.dps = 40
@@ -105,6 +107,19 @@ def main():
         s = mp.mpc(*s0)
         c = mp.pi ** (-s / 2) * mp.gamma(s / 2) * mp.zeta(s)
         print("    (complex%r, complex(%s, %s))," % (s0, fmt(c.real), fmt(c.imag)))
+    print(")")
+
+    # the Euler product over primes p < 10^4 at the functional suite's points,
+    # the truncated product itself rather than zeta(s)
+    print("EULER_PARTIAL = (")
+    # primes by trial division, independent of the package's sieve
+    primes = [p for p in range(2, 10**4) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for s0 in ((2.5, 0.0), (3.0, 1.0), (4.0, -2.0), (5.0, 0.0), (6.0, 3.0)):
+        s = mp.mpc(*s0)
+        prod = mp.mpf(1)
+        for p in primes:
+            prod /= 1 - mp.mpf(p) ** (-s)
+        print("    (complex%r, complex(%s, %s))," % (s0, fmt(prod.real), fmt(prod.imag)))
     print(")")
 
     print("# stieltjes")

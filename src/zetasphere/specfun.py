@@ -224,15 +224,16 @@ def digamma(s: complex) -> complex:
 
 
 def _series_sum(term, n_terms: int):
-    """Sum of ``term(n)`` along its last axis over n = 0, 1, ..., n_terms - 1.
+    """Sums of the summand blocks ``term(n)`` over n = 0, 1, ..., n_terms - 1.
 
-    ``term`` maps a float64 block of n to its summands.  numpy adds each
-    block pairwise; the block sums are added in order of n.
+    ``term`` maps a float64 block of n, which it may overwrite, to a tuple
+    of summand arrays.  numpy adds each block pairwise; the block sums are
+    added in order of n.
     """
     total = 0.0
     for start in range(0, n_terms, _SERIES_CHUNK):
         n = np.arange(start, min(start + _SERIES_CHUNK, n_terms), dtype=np.float64)
-        total = total + term(n).sum(axis=-1)
+        total = total + np.array([block.sum() for block in term(n)])
     return total
 
 
@@ -259,10 +260,18 @@ def digamma_series_reference(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) ->
         raise PoleError(s)
     x, y = s.real, s.imag
     n_terms = _series_terms(opts)
+    if s == 1:
+        # every summand carries the factor s - 1
+        return -EULER_GAMMA + _series_tail(s, n_terms)
 
     def term(n):
-        w = (n + 1) * ((n + x) ** 2 + y * y)
-        return np.stack(((n + x) / w, 1.0 / w))
+        nx = n + x
+        w = nx * nx
+        w += y * y
+        n += 1
+        w *= n
+        nx /= w
+        return nx, np.divide(1.0, w, out=w)
 
     re_sum, im_sum = _series_sum(term, n_terms)
     total = (s - 1) * complex(re_sum, -y * im_sum)
@@ -329,11 +338,22 @@ def psi_pair_series(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
         raise PoleError(s)
     x, y = s.real, s.imag
     n_terms = _series_terms(opts)
+    if s == 1:
+        # the numerator (x-1)(x+n) + y^2 is 0 for every n exactly here
+        return 2.0 * (-EULER_GAMMA + _series_tail(s, n_terms).real)
 
     def term(n):
-        return ((x - 1) * (x + n) + y * y) / ((n + 1) * ((n + x) ** 2 + y * y))
+        nx = n + x
+        num = nx * (x - 1)
+        num += y * y
+        den = np.multiply(nx, nx, out=nx)
+        den += y * y
+        n += 1
+        den *= n
+        num /= den
+        return (num,)
 
-    total = float(_series_sum(term, n_terms))
+    total = float(_series_sum(term, n_terms)[0])
     # same tail as the complex series, taken through its real part
     result = 2.0 * (-EULER_GAMMA + total + _series_tail(s, n_terms).real)
     if math.isnan(result):

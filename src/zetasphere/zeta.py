@@ -352,26 +352,24 @@ def even_zeta_rational(k: int) -> Fraction:
     return Fraction((-1) ** (n + 1)) * b * Fraction(2**k, 2 * math.factorial(k))
 
 
-def primes_below(bound: int) -> list[int]:
+def primes_below(bound: int) -> np.ndarray:
+    """The primes p < bound, ascending, from a boolean sieve."""
     if bound < 3:
-        return []
-    sieve = bytearray([1]) * bound
-    sieve[0:2] = b"\x00\x00"
+        return np.array([], dtype=np.intp)
+    sieve = np.ones(bound, dtype=bool)
+    sieve[:2] = False
     for p in range(2, int(bound**0.5) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(range(p * p, bound, p))
-    return [i for i, flag in enumerate(sieve) if flag]
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
 
 
 def euler_product_partial(s: complex, prime_bound: int = 10**4) -> complex:
     """prod over primes p < prime_bound of 1/(1 - p^-s); needs Re(s) > 1."""
-    s = complex(s)
+    s = finite_argument(s, "euler_product_partial")
     if s.real <= 1:
         raise DomainError("Euler product requires Re(s) > 1")
-    out = 1.0 + 0j
-    for p in primes_below(prime_bound):
-        out /= 1.0 - cmath.exp(-s * math.log(p))
-    return out
+    return complex(1 / np.prod(1 - np.exp(-s * np.log(primes_below(prime_bound)))))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +405,7 @@ def laurent_eval(s: complex, data: LaurentData | None = None) -> complex:
     """Laurent expansion 1/(s-1) + sum (-1)^n gamma_n (s-1)^n / n! on the
     punctured unit disk around 1."""
     data = data if data is not None else LaurentData()
-    s = complex(s)
+    s = finite_argument(s, "laurent_eval")
     h = s - 1
     if abs(h) < POLE_WINDOW:
         raise PoleError(1.0, residue=1.0)

@@ -81,6 +81,15 @@ COMPLETED_FAR_LEFT = (
     (complex(-400.0, -45.0), complex(2.4293515069126363e+273, -2.2394964471822843e+273)),
     (complex(-437.0, 0.0), complex(6.3092919858260908e+307, 0.0)),
 )
+# the truncated Euler product over primes p < 10^4 at the functional suite's
+# points (not zeta(s): the product itself, taken at 40 digits)
+EULER_PARTIAL = (
+    (complex(2.5, 0.0), complex(1.3414871670071839, 0.0)),
+    (complex(3.0, 1.0), complex(1.1072144089132259, -0.14829086736240752)),
+    (complex(4.0, -2.0), complex(0.99793259523000739, 0.071461016424086781)),
+    (complex(5.0, 0.0), complex(1.0369277551433699, 0.0)),
+    (complex(6.0, 3.0), complex(0.99094192150345433, -0.013146672490462588)),
+)
 
 STIELTJES_REF = (
     0.57721566490153286,

@@ -189,6 +189,17 @@ class TestVerify:
         verify.run_suite("all")
         assert calls == [verify.FIRST_ZERO_BRACKET]
 
+    def test_stieltjes_constants_extracted_once(self, monkeypatch):
+        from zetasphere import verify
+
+        calls = []
+        extract = verify.stieltjes_gamma
+        monkeypatch.setattr(verify, "stieltjes_gamma", lambda k: calls.append(k) or extract(k))
+        computed = {item.name: item.computed for item in verify.run_suite("functional").items}
+        assert calls == [0, 1, 2, 3, 4]
+        flag = computed["paper-claim/stieltjes limit prefactor (gamma_1 sign)"]
+        assert flag == computed["zeta/stieltjes gamma_1 extraction"]
+
 
 class TestExtend:
     def test_default_summary(self):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from zetasphere import specfun
 from zetasphere.errors import DomainError, PoleError, ZetasphereError
 from zetasphere.specfun import (
     EULER_GAMMA,
@@ -206,6 +207,17 @@ class TestSeriesSummation:
             assert abs(digamma(s) - digamma_series_reference(s)) < 1e-14
         for s in self.PSI_POINTS:
             assert abs(psi_pair(s) - psi_pair_series(s)) < 1e-14
+
+    def test_exact_zero_series_at_one(self, monkeypatch):
+        # every summand is exactly 0 at s = 1, so no block is built
+        blocks = []
+        arange = specfun.np.arange
+        monkeypatch.setattr(specfun.np, "arange", lambda *a, **k: blocks.append(a) or arange(*a, **k))
+        assert digamma_series_reference(1) == -EULER_GAMMA
+        assert psi_pair_series(1) == -2 * EULER_GAMMA
+        assert blocks == []
+        digamma_series_reference(2, EvalOptions(tolerance=1e-10, max_terms=10))
+        assert len(blocks) == 1
 
     def test_odd_term_count_matches_fsum(self):
         # 10_001 terms fill no power-of-two block exactly, so the last

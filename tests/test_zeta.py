@@ -31,6 +31,7 @@ from reference_values import (
     COMPLETED_HALF,
     COMPLETED_LOGDERIV,
     ETA_DENOM_ZERO_IM,
+    EULER_PARTIAL,
     STIELTJES_REF,
     TABLE1_FRACTIONS,
     ZERO_ORDINATES,
@@ -373,6 +374,13 @@ class TestLaurent:
         with pytest.raises(DomainError):
             laurent_eval(2.5 + 0j)
 
+    @pytest.mark.parametrize(
+        "s", [complex(math.nan, 0.0), complex(1.1, math.nan), complex(math.inf, 0.0), complex(1.0, math.inf)]
+    )
+    def test_non_finite_argument(self, s):
+        with pytest.raises(DomainError, match="laurent_eval"):
+            laurent_eval(s)
+
     def test_laurent_data_validation(self):
         with pytest.raises(DomainError):
             LaurentData(stieltjes=(0.5, 0.1), K=1)
@@ -388,3 +396,15 @@ class TestEulerProduct:
     def test_domain(self):
         with pytest.raises(DomainError):
             euler_product_partial(0.9 + 0j)
+
+    @pytest.mark.parametrize(
+        "s", [complex(math.nan, 0.0), complex(3.0, math.nan), complex(math.inf, 0.0), complex(2.0, -math.inf)]
+    )
+    def test_non_finite_argument(self, s):
+        with pytest.raises(DomainError, match="euler_product_partial"):
+            euler_product_partial(s)
+
+    def test_against_oracle_product(self):
+        # the truncated product itself, so the bound is rounding, not truncation
+        for s, expected in EULER_PARTIAL:
+            assert abs(euler_product_partial(s) - expected) <= 1e-13 * abs(expected)

@@ -18,9 +18,8 @@ from .errors import (
     RealnessViolation,
     ZetasphereError,
 )
-from .specfun import EvalOptions, digamma, gamma, gamma_abs_critical, gamma_abs_unit, loggamma, psi_pair
+from .specfun import digamma, gamma, gamma_abs_critical, gamma_abs_unit, loggamma, psi_pair
 from .zeta import (
-    LaurentData,
     completed_zeta,
     eta_eval,
     even_limit_probe,

@@ -76,19 +76,16 @@ def gamma_abs_dx(s: complex) -> float:
     return -0.5 * abs(gamma(1 - s)) * psi_pair(1 - s)
 
 
-def f_abs_dx(s: complex, h: float = 1e-5) -> float:
+def f_abs_dx(s: complex) -> float:
     """The printed d/dx |f(s)| formula, evaluated verbatim.
 
     The first term carries the bracket to the power 3/2 over the same
     bracket to the power 1/2 exactly as printed; where that disagrees with
     the central difference of f_abs_closed, the verification suite flags the
-    point instead of silently correcting the exponent.  ``h`` is only
-    validated here (it parameterizes the companion difference check).
+    point instead of silently correcting the exponent.
     """
     s = complex(s)
     _require_strip(s, "f_abs_dx")
-    if not 1e-8 <= h <= 1e-4:
-        raise DomainError("f_abs_dx step h must lie in [1e-8, 1e-4]")
     x, y = s.real, s.imag
     b = _bracket(x, y)
     gamma_abs = abs(gamma(1 - s))

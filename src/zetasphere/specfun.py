@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
 
 EULER_GAMMA = 0.5772156649015329
+_LNPI = math.log(math.pi)
 
 POLE_WINDOW = 1e-12
 
@@ -52,23 +52,8 @@ _PSI_ASYMPTOTIC = (
 # terms per numpy block of the cross-check series; one float64 block is
 # 64 KB, so the temporaries stay small next to the whole 1e6-term range
 _SERIES_CHUNK = 8192
-
-
-@dataclass(frozen=True)
-class EvalOptions:
-    """Series-evaluation knobs: absolute tolerance and a hard term cap."""
-
-    tolerance: float = 1e-12
-    max_terms: int = 1_000_000
-
-    def __post_init__(self):
-        if not 1e-15 <= self.tolerance <= 1e-2:
-            raise DomainError(f"tolerance {self.tolerance} outside [1e-15, 1e-2]")
-        if not 0 < self.max_terms <= 10**7:
-            raise DomainError(f"max_terms {self.max_terms} outside (0, 1e7]")
-
-
-DEFAULT_OPTIONS = EvalOptions()
+# terms of each cross-check series; the closed-form tail takes the rest
+_SERIES_TERMS = 10**6
 
 
 def _nonpositive_integer_index(s: complex) -> int | None:
@@ -154,7 +139,7 @@ def loggamma(s: complex) -> complex:
     if k is not None:
         raise PoleError(-k, residue=(-1.0) ** k / math.factorial(k), index=k)
     if s.real <= 0:
-        return math.log(math.pi) - _logsin_pi(s) - _loggamma_lanczos(1 - s)
+        return _LNPI - _logsin_pi(s) - _loggamma_lanczos(1 - s)
     if s.real < 0.5:
         return _loggamma_lanczos(s + 1) - cmath.log(s)
     return _loggamma_lanczos(s)
@@ -223,31 +208,28 @@ def digamma(s: complex) -> complex:
     return acc + cmath.log(s) - 0.5 / s + tail
 
 
-def _series_sum(term, n_terms: int):
-    """Sums of the summand blocks ``term(n)`` over n = 0, 1, ..., n_terms - 1.
+def _series_sum(term):
+    """Sums of the summand blocks ``term(n)`` over n = 0, 1, ..., _SERIES_TERMS - 1.
 
     ``term`` maps a float64 block of n, which it may overwrite, to a tuple
     of summand arrays.  numpy adds each block pairwise; the block sums are
     added in order of n.
     """
     total = 0.0
-    for start in range(0, n_terms, _SERIES_CHUNK):
-        n = np.arange(start, min(start + _SERIES_CHUNK, n_terms), dtype=np.float64)
+    for start in range(0, _SERIES_TERMS, _SERIES_CHUNK):
+        n = np.arange(start, min(start + _SERIES_CHUNK, _SERIES_TERMS), dtype=np.float64)
         total = total + np.array([block.sum() for block in term(n)])
     return total
 
 
-def _series_terms(opts: EvalOptions) -> int:
-    return min(opts.max_terms, max(1000, int(10 / opts.tolerance**0.5)))
-
-
-def _series_tail(s: complex, n: int) -> complex:
-    """Integral of (s-1)/((t+1)(t+s)) from n to infinity plus half the
-    boundary term (Euler-Maclaurin to first order)."""
+def _series_tail(s: complex) -> complex:
+    """Integral of (s-1)/((t+1)(t+s)) from n = _SERIES_TERMS to infinity
+    plus half the boundary term (Euler-Maclaurin to first order)."""
+    n = _SERIES_TERMS
     return cmath.log((n + s) / (n + 1)) + 0.5 * (s - 1) / ((n + 1) * (n + s))
 
 
-def digamma_series_reference(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
+def digamma_series_reference(s: complex) -> complex:
     """Cross-check path: -gamma + sum (s-1)/((n+1)(n+s)) with an integral
     tail correction.  Converges too slowly for production; kept as the
     independent route against :func:`digamma`.
@@ -255,14 +237,13 @@ def digamma_series_reference(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) ->
     The sum is taken in real arithmetic as
     (s-1) sum conj(n+s) / ((n+1)|n+s|^2), the same series term by term.
     """
-    s = complex(s)
+    s = finite_argument(s, "digamma_series_reference")
     if _nonpositive_integer_index(s) is not None:
         raise PoleError(s)
     x, y = s.real, s.imag
-    n_terms = _series_terms(opts)
     if s == 1:
         # every summand carries the factor s - 1
-        return -EULER_GAMMA + _series_tail(s, n_terms)
+        return -EULER_GAMMA + _series_tail(s)
 
     def term(n):
         nx = n + x
@@ -273,9 +254,9 @@ def digamma_series_reference(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) ->
         nx /= w
         return nx, np.divide(1.0, w, out=w)
 
-    re_sum, im_sum = _series_sum(term, n_terms)
+    re_sum, im_sum = _series_sum(term)
     total = (s - 1) * complex(re_sum, -y * im_sum)
-    return -EULER_GAMMA + total + _series_tail(s, n_terms)
+    return -EULER_GAMMA + total + _series_tail(s)
 
 
 def gamma_abs_critical(y: float) -> float:
@@ -308,7 +289,7 @@ def reflection_residual(s: complex) -> float:
     the reflection identity by construction.  Contract: < 1e-10 in the
     critical strip off integers.
     """
-    s = complex(s)
+    s = finite_argument(s, "reflection_residual")
     if abs(s.imag) <= POLE_WINDOW and abs(s.real - round(s.real)) <= POLE_WINDOW:
         raise DomainError(f"reflection identity degenerate at integer s={s}")
     if 0 < s.real < 1:
@@ -325,22 +306,21 @@ def psi_pair(s: complex) -> float:
     return 2.0 * digamma(s).real
 
 
-def psi_pair_series(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def psi_pair_series(s: complex) -> float:
     """Explicit real series for Psi(s) (the x,y form), with tail correction.
 
     Independent route against :func:`psi_pair`; the summand is
     ((x-1)(x+n) + y^2) / ((n+1)((n+x)^2 + y^2)).
     """
-    s = complex(s)
+    s = finite_argument(s, "psi_pair_series")
     if _nonpositive_integer_index(s) is not None or _nonpositive_integer_index(
         s.conjugate()
     ) is not None:
         raise PoleError(s)
     x, y = s.real, s.imag
-    n_terms = _series_terms(opts)
     if s == 1:
         # the numerator (x-1)(x+n) + y^2 is 0 for every n exactly here
-        return 2.0 * (-EULER_GAMMA + _series_tail(s, n_terms).real)
+        return 2.0 * (-EULER_GAMMA + _series_tail(s).real)
 
     def term(n):
         nx = n + x
@@ -353,9 +333,9 @@ def psi_pair_series(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
         num /= den
         return (num,)
 
-    total = float(_series_sum(term, n_terms)[0])
+    total = float(_series_sum(term)[0])
     # same tail as the complex series, taken through its real part
-    result = 2.0 * (-EULER_GAMMA + total + _series_tail(s, n_terms).real)
+    result = 2.0 * (-EULER_GAMMA + total + _series_tail(s).real)
     if math.isnan(result):
         raise ConvergenceError("psi_pair_series did not converge")
     return result

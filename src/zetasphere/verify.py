@@ -262,7 +262,7 @@ def suite_modulus() -> list[VerificationItem]:
         x = 0.1 + 0.8 * i / 9
         for y in (0.3, 1.1, 2.3, 3.7, 4.9):
             s = complex(x, y)
-            printed = modulus.f_abs_dx(s, h)
+            printed = modulus.f_abs_dx(s)
             fd = modulus.central_dx(modulus.f_abs_product, s, h)
             items.append(
                 flag_item(f"eq14-dxf/printed vs finite-difference s={x:.2f}+{y}i", fd, printed, tol)
@@ -282,10 +282,10 @@ def suite_modulus() -> list[VerificationItem]:
     diag = (1 + 1j) / math.sqrt(2)
     gvals = [modulus.gamma_abs_dx(eps * diag) for eps in probes]
     items.append(flag_item("paper-claim/lim d/dx|Gamma(1-s)| at origin = 0", 0.0, 2 * gvals[2] - gvals[1], 1e-6))
-    fvals = [modulus.f_abs_dx(eps * diag, h) for eps in probes]
+    fvals = [modulus.f_abs_dx(eps * diag) for eps in probes]
     items.append(flag_item("paper-claim/lim d/dx|f| at origin = 0", 0.0, 2 * fvals[2] - fvals[1], 1e-6))
     items.append(make_item("modulus/d/dx|Gamma(1-s)| positive at 1/2", 1.0, float(modulus.gamma_abs_dx(0.5 + 0j) > 0), 0.5))
-    items.append(make_item("modulus/d/dx|f| positive at 1/2", 1.0, float(modulus.f_abs_dx(0.5 + 0j, h) > 0), 0.5))
+    items.append(make_item("modulus/d/dx|f| positive at 1/2", 1.0, float(modulus.f_abs_dx(0.5 + 0j) > 0), 0.5))
 
     items.extend(modulus.asymptotic_suite())
     return items

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,9 +25,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
 from .specfun import (
-    DEFAULT_OPTIONS,
+    EULER_GAMMA,
     POLE_WINDOW,
-    EvalOptions,
+    _LNPI,
     _logsin_pi,
     digamma,
     exp_in_range,
@@ -40,7 +39,7 @@ from .specfun import (
 
 # gamma_0 .. gamma_4, frozen from the multiprecision pre-build oracle
 STIELTJES = (
-    0.57721566490153286,
+    EULER_GAMMA,
     -0.072815845483676725,
     -0.0096903631928723185,
     0.0020538344203033459,
@@ -48,27 +47,14 @@ STIELTJES = (
 )
 
 _LN2 = math.log(2.0)
-_LNPI = math.log(math.pi)
 _ACCEL_RATE = math.log(3.0 + math.sqrt(8.0))
 _ETA_FALLBACK_WINDOW = 1e-2
 _SMALL_S_WINDOW = 1e-6
-# the eta route of zeta_eval: it only sees Re(s) >= 1/2, inside eta_eval's
-# domain, and asks two digits more than the public default
-_RIGHT_HALF_OPTIONS = EvalOptions(tolerance=1e-14, max_terms=10**7)
-
-
-@dataclass(frozen=True)
-class LaurentData:
-    """Stieltjes coefficients gamma_0..gamma_K for the expansion at s = 1."""
-
-    stieltjes: tuple[float, ...] = STIELTJES
-    K: int = len(STIELTJES) - 1
-
-    def __post_init__(self):
-        if self.K != len(self.stieltjes) - 1 or self.K < 0:
-            raise DomainError("K must equal len(stieltjes) - 1")
-        if abs(self.stieltjes[0] - 0.57721) > 1e-5:
-            raise DomainError("gamma_0 not within 1e-5 of 0.57721")
+# absolute tolerance of the accelerated eta sum, and its term cap
+_ETA_TOLERANCE = 1e-14
+_ETA_MAX_TERMS = 10**7
+# Bernoulli corrections of the Euler-Maclaurin fallback
+_EM_CORRECTIONS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -102,23 +88,21 @@ def _accel_terms_needed(t_abs: float, tol: float) -> int:
     return ((n + 31) // 32) * 32
 
 
-def _eta_terms(s: complex, opts: EvalOptions):
+def _eta_terms(s: complex):
     """The weights, the log-weighted weights and k^-s of eta's accelerated
     sum at a finite s, after the domain and term-cap checks."""
     if s.real <= 0:
         raise DomainError(f"eta series requires Re(s) > 0, got {s}")
-    n = _accel_terms_needed(abs(s.imag), opts.tolerance)
-    if n > opts.max_terms:
-        raise ConvergenceError(
-            f"eta at {s} needs {n} accelerated terms > max_terms {opts.max_terms}"
-        )
+    n = _accel_terms_needed(abs(s.imag), _ETA_TOLERANCE)
+    if n > _ETA_MAX_TERMS:
+        raise ConvergenceError(f"eta at {s} needs {n} accelerated terms > {_ETA_MAX_TERMS}")
     coeffs, logk, log_weighted = _accel_coeffs(n)
     return coeffs, log_weighted, np.exp(-s * logk)
 
 
-def eta_eval(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
+def eta_eval(s: complex) -> complex:
     """Dirichlet eta sum of (-1)^(n+1) / n^s for Re(s) > 0, accelerated."""
-    coeffs, _, powers = _eta_terms(finite_argument(s, "eta"), opts)
+    coeffs, _, powers = _eta_terms(finite_argument(s, "eta"))
     return complex(coeffs @ powers)
 
 
@@ -126,10 +110,11 @@ def eta_eval(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
 # Euler-Maclaurin fallback (eta-denominator zeros s = 1 + 2 pi i k / ln 2)
 
 
-def _zeta_euler_maclaurin(s: complex, m: int = 12, derivative: bool = False):
+def _zeta_euler_maclaurin(s: complex, derivative: bool = False):
     """zeta(s) by Euler-Maclaurin summation to N = max(30, 1.3 |Im s|) with
-    m Bernoulli corrections.  With ``derivative`` it returns the pair
-    (zeta(s), zeta'(s)), zeta' from the same terms differentiated in s."""
+    _EM_CORRECTIONS Bernoulli corrections.  With ``derivative`` it returns
+    the pair (zeta(s), zeta'(s)), zeta' from the same terms differentiated
+    in s."""
     n_cut = max(30, int(1.3 * abs(s.imag)))
     log_n = np.log(np.arange(1, n_cut + 1))
     powers = np.exp(-s * log_n)
@@ -142,7 +127,7 @@ def _zeta_euler_maclaurin(s: complex, m: int = 12, derivative: bool = False):
         d_total = -complex(log_n @ powers) - head * (ln_n + 1 / (s - 1)) + 0.5 * ln_n * last
         d_rising = 1.0
     rising = s
-    for k in range(1, m + 1):
+    for k in range(1, _EM_CORRECTIONS + 1):
         coef = float(bernoulli_exact(2 * k)) / math.factorial(2 * k)
         power = cmath.exp((1 - s - 2 * k) * ln_n)
         total += coef * rising * power
@@ -157,11 +142,11 @@ def _zeta_euler_maclaurin(s: complex, m: int = 12, derivative: bool = False):
 # zeta proper
 
 
-def _laurent_regular_part(h: complex, data: LaurentData) -> complex:
+def _laurent_regular_part(h: complex) -> complex:
     """sum (-1)^n gamma_n h^n / n!, the regular part of zeta at 1."""
     total = 0j
     hp = 1.0 + 0j
-    for n_, g in enumerate(data.stieltjes):
+    for n_, g in enumerate(STIELTJES):
         total += ((-1) ** n_) * g * hp / math.factorial(n_)
         hp *= h
     return total
@@ -171,7 +156,7 @@ def _zeta_small_s(s: complex) -> complex:
     # f(s) * zeta(1-s) with sin(pi s/2) = (pi s / 2) * w(s) and
     # zeta(1-s) = -1/s + P(-s); the 1/s cancels against the sin zero.
     w = 1.0 if s == 0 else cmath.sin(math.pi * s / 2) / (math.pi * s / 2)
-    p = _laurent_regular_part(-s, LaurentData())
+    p = _laurent_regular_part(-s)
     prefactor = 2**s * math.pi ** (s - 1) * gamma(1 - s)
     return (math.pi / 2) * w * prefactor * (s * p - 1.0)
 
@@ -183,7 +168,7 @@ def _zeta_right_half(s: complex, derivative: bool = False):
     denom = 1.0 - p
     if abs(denom) < _ETA_FALLBACK_WINDOW:
         return _zeta_euler_maclaurin(s, derivative=derivative)
-    coeffs, log_weighted, powers = _eta_terms(s, _RIGHT_HALF_OPTIONS)
+    coeffs, log_weighted, powers = _eta_terms(s)
     eta = complex(coeffs @ powers)
     if not derivative:
         return eta / denom
@@ -242,7 +227,7 @@ def functional_rhs(s: complex) -> complex:
     Gamma(1-s) at a pole; s = 0 puts zeta(1-s) at its pole).  Even positive
     integers resolve the resulting 0*inf through even_limit_probe instead.
     """
-    s = complex(s)
+    s = finite_argument(s, "functional_rhs")
     if abs(s.imag) <= POLE_WINDOW:
         r = round(s.real)
         if r >= 1 and abs(s.real - r) <= POLE_WINDOW:
@@ -272,7 +257,7 @@ def even_limit_probe(n: int) -> complex:
 def completed_log_prefactor(s: complex) -> complex:
     """log(pi^(-s/2) Gamma(s/2)); shared by completed_zeta and the zero
     scanner's sign kernel."""
-    return loggamma(s / 2) - (s / 2) * math.log(math.pi)
+    return loggamma(s / 2) - (s / 2) * _LNPI
 
 
 def completed_zeta(s: complex) -> complex:
@@ -376,6 +361,18 @@ def euler_product_partial(s: complex, prime_bound: int = 10**4) -> complex:
 # Stieltjes constants and the Laurent series
 
 
+@lru_cache(maxsize=None)
+def _laurent_circle(radius: float) -> tuple[tuple[float, complex], ...]:
+    """(theta, zeta(1+h) - 1/h) at the 64 points h = radius e^(i theta),
+    theta = 2 pi j / 64; sampled once per process for every gamma_k."""
+    samples = []
+    for j in range(64):
+        theta = 2 * math.pi * j / 64
+        h = radius * cmath.exp(1j * theta)
+        samples.append((theta, zeta_eval(1 + h) - 1 / h))
+    return tuple(samples)
+
+
 def stieltjes_gamma(k: int) -> float:
     """gamma_k extracted from zeta(1+h) - 1/h sampled on circles around 0.
 
@@ -385,30 +382,27 @@ def stieltjes_gamma(k: int) -> float:
     if not 0 <= k <= 4:
         raise DomainError("stieltjes_gamma supports 0 <= k <= 4")
 
-    def coeff(radius: float, samples: int) -> complex:
+    def coeff(radius: float) -> complex:
+        samples = _laurent_circle(radius)
         acc = 0j
-        for j in range(samples):
-            theta = 2 * math.pi * j / samples
-            h = radius * cmath.exp(1j * theta)
-            g = zeta_eval(1 + h) - 1 / h
+        for theta, g in samples:
             acc += g * cmath.exp(-1j * k * theta)
-        return acc / (samples * radius**k)
+        return acc / (len(samples) * radius**k)
 
-    a1 = coeff(0.5, 64)
-    a2 = coeff(0.25, 64)
+    a1 = coeff(0.5)
+    a2 = coeff(0.25)
     if abs(a1 - a2) > 1e-7:
         raise ConvergenceError(f"stieltjes_gamma({k}) radii disagree: {a1} vs {a2}")
     return ((-1) ** k) * math.factorial(k) * a2.real
 
 
-def laurent_eval(s: complex, data: LaurentData | None = None) -> complex:
+def laurent_eval(s: complex) -> complex:
     """Laurent expansion 1/(s-1) + sum (-1)^n gamma_n (s-1)^n / n! on the
     punctured unit disk around 1."""
-    data = data if data is not None else LaurentData()
     s = finite_argument(s, "laurent_eval")
     h = s - 1
     if abs(h) < POLE_WINDOW:
         raise PoleError(1.0, residue=1.0)
     if abs(h) >= 1:
         raise DomainError("laurent_eval valid only for 0 < |s-1| < 1")
-    return 1 / h + _laurent_regular_part(h, data)
+    return 1 / h + _laurent_regular_part(h)

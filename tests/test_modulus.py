@@ -92,7 +92,7 @@ class TestDerivativeFormulas:
         assert val == pytest.approx(0.5772156649, abs=1e-6)
 
     def test_f_abs_dx_positive_at_half(self):
-        assert f_abs_dx(0.5 + 0j, 1e-5) > 0
+        assert f_abs_dx(0.5 + 0j) > 0
 
     def test_f_abs_dx_matches_fd_where_bracket_is_one(self):
         # bracket == 1 at y=0, sin^2(pi x/2) = 1/4, i.e. x = 1/3: there the
@@ -100,7 +100,7 @@ class TestDerivativeFormulas:
         s = complex(1.0 / 3.0, 0.0)
         h = 1e-5
         fd = central_dx(f_abs_product, s, h)
-        assert abs(f_abs_dx(s, h) - fd) <= max(1e-6, 10 * h * h)
+        assert abs(f_abs_dx(s) - fd) <= max(1e-6, 10 * h * h)
 
     def test_f_abs_dx_printed_form_disagrees_generically(self):
         # documents the suspected misprint: at a generic strip point the
@@ -109,11 +109,7 @@ class TestDerivativeFormulas:
         s = complex(0.4, 3.0)
         h = 1e-5
         fd = central_dx(f_abs_product, s, h)
-        assert abs(f_abs_dx(s, h) - fd) > 1e3 * max(1e-6, 10 * h * h)
-
-    def test_f_abs_dx_step_validation(self):
-        with pytest.raises(DomainError):
-            f_abs_dx(0.5 + 1j, 1e-2)
+        assert abs(f_abs_dx(s) - fd) > 1e3 * max(1e-6, 10 * h * h)
 
 
 class TestCriterion:

@@ -7,7 +7,6 @@ from zetasphere import specfun
 from zetasphere.errors import DomainError, PoleError, ZetasphereError
 from zetasphere.specfun import (
     EULER_GAMMA,
-    EvalOptions,
     digamma,
     digamma_series_reference,
     gamma,
@@ -108,6 +107,9 @@ class TestGamma:
             gamma(s)
         with pytest.raises(DomainError):
             loggamma(s)
+        for fn in (digamma_series_reference, psi_pair_series, reflection_residual):
+            with pytest.raises(DomainError, match=fn.__name__):
+                fn(s)
 
 
 class TestClosedFormModuli:
@@ -168,9 +170,8 @@ class TestDigamma:
             digamma(0j)
 
     def test_series_cross_check(self):
-        opts = EvalOptions(tolerance=1e-10, max_terms=10**6)
         for s in (1 + 0j, 2 + 0j, 0.3 + 0.7j, 0.5 - 2j):
-            assert abs(digamma(s) - digamma_series_reference(s, opts)) < 1e-7
+            assert abs(digamma(s) - digamma_series_reference(s)) < 1e-7
 
     def test_recurrence(self):
         for s in (0.7 + 0j, 1.4 + 2j, 0.2 - 5j):
@@ -188,9 +189,8 @@ class TestPsiPair:
         assert isinstance(psi_pair(0.3 + 2j), float)
 
     def test_series_cross_check(self):
-        opts = EvalOptions(tolerance=1e-10, max_terms=10**6)
         for s in (1 + 0j, 0.5 + 2j, 0.8 - 1j):
-            assert abs(psi_pair(s) - psi_pair_series(s, opts)) < 1e-7
+            assert abs(psi_pair(s) - psi_pair_series(s)) < 1e-7
 
 
 class TestSeriesSummation:
@@ -216,35 +216,24 @@ class TestSeriesSummation:
         assert digamma_series_reference(1) == -EULER_GAMMA
         assert psi_pair_series(1) == -2 * EULER_GAMMA
         assert blocks == []
-        digamma_series_reference(2, EvalOptions(tolerance=1e-10, max_terms=10))
+        monkeypatch.setattr(specfun, "_SERIES_TERMS", 10)
+        digamma_series_reference(2)
         assert len(blocks) == 1
 
-    def test_odd_term_count_matches_fsum(self):
+    def test_odd_term_count_matches_fsum(self, monkeypatch):
         # 10_001 terms fill no power-of-two block exactly, so the last
         # partial block and the term count both show in the result
         n_terms = 10_001
-        opts = EvalOptions(tolerance=1e-10, max_terms=n_terms)
+        monkeypatch.setattr(specfun, "_SERIES_TERMS", n_terms)
         for s in self.DIGAMMA_POINTS:
             terms = [(s - 1) / ((n + 1) * (n + s)) for n in range(n_terms)]
             total = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
             expected = -EULER_GAMMA + total + self._tail(s, n_terms)
-            assert abs(digamma_series_reference(s, opts) - expected) < 1e-15
+            assert abs(digamma_series_reference(s) - expected) < 1e-15
         for s in self.PSI_POINTS:
             x, y = s.real, s.imag
             total = math.fsum(
                 ((x - 1) * (x + n) + y * y) / ((n + 1) * ((n + x) ** 2 + y * y)) for n in range(n_terms)
             )
             expected = 2.0 * (-EULER_GAMMA + total + self._tail(s, n_terms).real)
-            assert abs(psi_pair_series(s, opts) - expected) < 1e-15
-
-
-class TestEvalOptions:
-    def test_tolerance_bounds(self):
-        with pytest.raises(DomainError):
-            EvalOptions(tolerance=1e-16)
-        with pytest.raises(DomainError):
-            EvalOptions(tolerance=0.5)
-
-    def test_max_terms_bound(self):
-        with pytest.raises(DomainError):
-            EvalOptions(max_terms=10**7 + 1)
+            assert abs(psi_pair_series(s) - expected) < 1e-15

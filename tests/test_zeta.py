@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from zetasphere import zeta
 from zetasphere.errors import ConvergenceError, DomainError, PoleError, ZetasphereError
-from zetasphere.specfun import DEFAULT_OPTIONS, EvalOptions, gamma
+from zetasphere.specfun import gamma
 from zetasphere.zeta import (
-    LaurentData,
-    STIELTJES,
+    _ETA_TOLERANCE,
     _accel_coeffs,
     _accel_terms_needed,
     completed_zeta,
@@ -53,25 +53,21 @@ class TestEta:
     def test_eta_two(self):
         assert eta_eval(2 + 0j).real == pytest.approx(math.pi**2 / 12, abs=1e-13)
 
-    def test_self_consistent_under_doubled_term_cap(self):
-        s = complex(0.5, 7.3)
-        a = eta_eval(s, EvalOptions(tolerance=1e-12, max_terms=10**5))
-        b = eta_eval(s, EvalOptions(tolerance=1e-12, max_terms=2 * 10**5))
-        assert abs(a - b) < 1e-12
-
     def test_domain(self):
         with pytest.raises(DomainError):
             eta_eval(complex(-0.2, 3.0))
 
     def test_term_cap_exhaustion(self):
+        # ~2.67e7 accelerated terms, past the 1e7 cap; raised before any
+        # weight is computed
         with pytest.raises(ConvergenceError):
-            eta_eval(complex(0.5, 900.0), EvalOptions(tolerance=1e-12, max_terms=100))
+            eta_eval(complex(0.5, 3e7))
 
     @pytest.mark.parametrize(
         "s", [complex(0.5, 14.134725), complex(0.5, 450.0), complex(0.5, 1000.0), complex(2.0, 30.0)]
     )
     def test_sum_matches_fsum_of_the_same_terms(self, s):
-        n = _accel_terms_needed(abs(s.imag), DEFAULT_OPTIONS.tolerance)
+        n = _accel_terms_needed(abs(s.imag), _ETA_TOLERANCE)
         coeffs, logk, _ = _accel_coeffs(n)
         terms = coeffs * np.exp(-s * logk)
         reference = complex(math.fsum(terms.real), math.fsum(terms.imag))
@@ -162,6 +158,8 @@ class TestZeta:
     def test_non_finite_argument(self, s):
         with pytest.raises(DomainError):
             zeta_eval(s)
+        with pytest.raises(DomainError, match="functional_rhs"):
+            functional_rhs(s)
 
 
 class TestFunctionalEquation:
@@ -359,6 +357,17 @@ class TestStieltjes:
         with pytest.raises(DomainError):
             stieltjes_gamma(5)
 
+    def test_circles_sampled_once_for_all_k(self, monkeypatch):
+        # two 64-point circles serve gamma_0 .. gamma_4
+        calls = []
+        evaluate = zeta.zeta_eval
+        monkeypatch.setattr(zeta, "zeta_eval", lambda s: calls.append(s) or evaluate(s))
+        zeta._laurent_circle.cache_clear()
+        extracted = [stieltjes_gamma(k) for k in range(5)]
+        assert len(calls) == len(set(calls)) == 128
+        assert extracted == [stieltjes_gamma(k) for k in range(5)]
+        assert len(calls) == 128
+
 
 class TestLaurent:
     def test_matches_zeta_in_disk(self):
@@ -380,11 +389,6 @@ class TestLaurent:
     def test_non_finite_argument(self, s):
         with pytest.raises(DomainError, match="laurent_eval"):
             laurent_eval(s)
-
-    def test_laurent_data_validation(self):
-        with pytest.raises(DomainError):
-            LaurentData(stieltjes=(0.5, 0.1), K=1)
-        assert LaurentData().stieltjes[0] == STIELTJES[0]
 
 
 class TestEulerProduct:

@@ -72,6 +72,14 @@ def main():
         z = mp.zeta(mp.mpc(*s0))
         print("    (complex%r, complex(%s, %s))," % (s0, fmt(z.real), fmt(z.imag)))
     print(")")
+    # on the critical line out to t ~ 1000, and right of it past t = 450,
+    # where the eta sum takes k^-s from the split k = 2^a 3^b m
+    print("ZETA_LINE_HIGH = (")
+    for s0 in ((0.5, 150.0), (0.5, 300.0), (0.5, 450.0), (0.5, 700.0), (0.5, 999.5),
+               (0.8, 610.0), (1.5, -875.25)):
+        z = mp.zeta(mp.mpc(*s0))
+        print("    (complex%r, complex(%s, %s))," % (s0, fmt(z.real), fmt(z.imag)))
+    print(")")
     # left of Re s ~ -141, where Gamma(1-s) alone overflows a direct product
     print("ZETA_FAR_LEFT = (")
     for x in (-141.25, -201.0):

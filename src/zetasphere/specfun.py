@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -54,6 +55,10 @@ _PSI_ASYMPTOTIC = (
 _SERIES_CHUNK = 8192
 # terms of each cross-check series; the closed-form tail takes the rest
 _SERIES_TERMS = 10**6
+# largest |s| the cross-check series take: (n + x)^2 + y^2 <= (n + |s|)^2,
+# so below it ((n + x)^2 + y^2)(n + 1) stays under half the largest double
+# for every n < _SERIES_TERMS
+_SERIES_MAX_ARG = math.sqrt(sys.float_info.max / (2 * _SERIES_TERMS)) - _SERIES_TERMS
 
 
 def _nonpositive_integer_index(s: complex) -> int | None:
@@ -229,6 +234,15 @@ def _series_tail(s: complex) -> complex:
     return cmath.log((n + s) / (n + 1)) + 0.5 * (s - 1) / ((n + 1) * (n + s))
 
 
+def _series_argument(s, name: str) -> complex:
+    """finite_argument(s), or DomainError past |s| = _SERIES_MAX_ARG, where
+    the series' block arithmetic would overflow."""
+    s = finite_argument(s, name)
+    if abs(s) > _SERIES_MAX_ARG:
+        raise DomainError(f"{name} at s = {s}: |s| > {_SERIES_MAX_ARG:.3g} overflows its summands")
+    return s
+
+
 def digamma_series_reference(s: complex) -> complex:
     """Cross-check path: -gamma + sum (s-1)/((n+1)(n+s)) with an integral
     tail correction.  Converges too slowly for production; kept as the
@@ -236,8 +250,9 @@ def digamma_series_reference(s: complex) -> complex:
 
     The sum is taken in real arithmetic as
     (s-1) sum conj(n+s) / ((n+1)|n+s|^2), the same series term by term.
+    DomainError past |s| = _SERIES_MAX_ARG (~9.5e150).
     """
-    s = finite_argument(s, "digamma_series_reference")
+    s = _series_argument(s, "digamma_series_reference")
     if _nonpositive_integer_index(s) is not None:
         raise PoleError(s)
     x, y = s.real, s.imag
@@ -286,13 +301,24 @@ def reflection_residual(s: complex) -> float:
 
     Both factors go through the raw Lanczos sum (no reflection), so the
     residual genuinely measures approximation error instead of reproducing
-    the reflection identity by construction.  Contract: < 1e-10 in the
-    critical strip off integers.
+    the reflection identity by construction.  Past |Im s| > 20, where
+    sin(pi s) and the Gammas leave double range long before their product
+    does, the product is taken in log space.  Contract: < 1e-10 in the
+    critical strip off integers.  DomainError where the product itself
+    leaves double range.
     """
     s = finite_argument(s, "reflection_residual")
     if abs(s.imag) <= POLE_WINDOW and abs(s.real - round(s.real)) <= POLE_WINDOW:
         raise DomainError(f"reflection identity degenerate at integer s={s}")
-    if 0 < s.real < 1:
+    strip = 0 < s.real < 1
+    if abs(s.imag) > 20:
+        if strip:
+            log_gammas = _loggamma_lanczos(s) + _loggamma_lanczos(1 - s)
+        else:
+            log_gammas = loggamma(s) + loggamma(1 - s)
+        product = exp_in_range(log_gammas + _logsin_pi(s), "reflection residual", s)
+        return abs(product - math.pi)
+    if strip:
         g_s = _gamma_lanczos_direct(s)
         g_1ms = _gamma_lanczos_direct(1 - s)
     else:
@@ -310,9 +336,10 @@ def psi_pair_series(s: complex) -> float:
     """Explicit real series for Psi(s) (the x,y form), with tail correction.
 
     Independent route against :func:`psi_pair`; the summand is
-    ((x-1)(x+n) + y^2) / ((n+1)((n+x)^2 + y^2)).
+    ((x-1)(x+n) + y^2) / ((n+1)((n+x)^2 + y^2)).  DomainError past
+    |s| = _SERIES_MAX_ARG (~9.5e150).
     """
-    s = finite_argument(s, "psi_pair_series")
+    s = _series_argument(s, "psi_pair_series")
     if _nonpositive_integer_index(s) is not None or _nonpositive_integer_index(
         s.conjugate()
     ) is not None:

@@ -5,7 +5,9 @@ Evaluation strategy:
 * Re(s) >= 1/2: binomial-accelerated alternating (eta) series divided by
   1 - 2^(1-s).  The acceleration is Borwein's d_k scheme with the
   coefficients computed in log space so the scheme stays usable out to
-  |Im s| ~ 1000.
+  |Im s| ~ 1000.  From 128 terms on, k^-s is the product S^-s m^-s of
+  k = S m, S = 2^a 3^b and m coprime to 6, so only the distinct S and m
+  are exponentiated.
 * Re(s) < 1/2: functional equation applied to the Re >= 1/2 value.  The
   switch sits at 1/2 (not 0) so both sides stay well conditioned.
 * |1 - 2^(1-s)| < 1e-2 (the eta-denominator zeros on Re s = 1): direct
@@ -55,18 +57,72 @@ _ETA_TOLERANCE = 1e-14
 _ETA_MAX_TERMS = 10**7
 # Bernoulli corrections of the Euler-Maclaurin fallback
 _EM_CORRECTIONS = 12
+# term count from which _powers exponentiates only the basis of the split
+_SPLIT_MIN_TERMS = 128
 
 
 # ---------------------------------------------------------------------------
 # eta series with binomial acceleration
 
 
+@lru_cache(maxsize=None)
+def _split_table(size: int):
+    """log k for k = 1..size and the split k = S m of each k into its
+    {2,3}-smooth part S = 2^a 3^b and its part m coprime to 6: the logs of
+    the distinct S and m (the basis: every k with S = 1 or m = 1,
+    ascending), each k's index of S and of m in it, and for each k how many
+    basis values are <= k.  The table for any n <= size is a prefix of
+    this one."""
+    logk = np.log(np.arange(1.0, size + 1.0))
+    k = np.arange(1, size + 1)
+    rough = k.copy()
+    for p in (2, 3):
+        while (divisible := rough % p == 0).any():
+            rough[divisible] //= p
+    smooth = k // rough
+    in_basis = (smooth == 1) | (rough == 1)
+    counts = np.cumsum(in_basis)
+    return logk, logk[in_basis], counts[smooth - 1] - 1, counts[rough - 1] - 1, counts
+
+
+@lru_cache(maxsize=64)
+def _power_table(n: int):
+    """log k for k = 1..n and, from _SPLIT_MIN_TERMS terms on, the basis
+    logs and the index of each k's S and m in them: views of _split_table
+    for the power of two >= n, so a handful of tables back every n.  The
+    cache holds every n that |Im s| <= 1000 reaches on the eta and
+    Euler-Maclaurin routes."""
+    logk, log_basis, i_smooth, i_rough, counts = _split_table(
+        max(_SPLIT_MIN_TERMS, 1 << (n - 1).bit_length())
+    )
+    if n < _SPLIT_MIN_TERMS:
+        return logk[:n], None, None, None
+    return logk[:n], log_basis[: counts[n - 1]], i_smooth[:n], i_rough[:n]
+
+
+def _powers(s: complex, n: int) -> np.ndarray:
+    """k^-s for k = 1..n.
+
+    k^-s is completely multiplicative, so k^-s = S^-s m^-s for the split of
+    _split_table: only the basis is exponentiated (37 % of the terms at
+    n = 928), and every other term is one complex product.  Terms with S = 1
+    or m = 1 are multiplied by exactly 1.  Below _SPLIT_MIN_TERMS the two
+    gathers cost more than the exponentials they save, so those sums
+    exponentiate every term.
+    """
+    logk, log_basis, i_smooth, i_rough = _power_table(n)
+    if log_basis is None:
+        return np.exp(-s * logk)
+    e = np.exp(-s * log_basis)
+    return e[i_smooth] * e[i_rough]
+
+
 @lru_cache(maxsize=32)
 def _accel_coeffs(n: int):
     """(-1)^k (d_n - d_k)/d_n for Borwein's scheme, with log-space term
-    sums, as complex128 so the eta sum is one complex dot product, plus the
-    cached log(k+1) table and the weights times log(k+1), which give the
-    derivative sum.  Quantized n keeps the cache small."""
+    sums, as complex128 so the eta sum is one complex dot product, and the
+    weights times log(k+1), which give the derivative sum.  Quantized n
+    keeps the cache small."""
     log_t = np.array(
         [
             math.lgamma(n + i) + i * math.log(4.0) - math.lgamma(n - i + 1) - math.lgamma(2 * i + 1)
@@ -78,8 +134,7 @@ def _accel_coeffs(n: int):
     ek = (csum[-1] - csum[:-1]) / csum[-1]
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     coeffs = (signs * ek).astype(np.complex128)
-    logk = np.log(np.arange(1.0, n + 1.0))
-    return coeffs, logk, coeffs * logk
+    return coeffs, coeffs * _power_table(n)[0]
 
 
 def _accel_terms_needed(t_abs: float, tol: float) -> int:
@@ -96,8 +151,8 @@ def _eta_terms(s: complex):
     n = _accel_terms_needed(abs(s.imag), _ETA_TOLERANCE)
     if n > _ETA_MAX_TERMS:
         raise ConvergenceError(f"eta at {s} needs {n} accelerated terms > {_ETA_MAX_TERMS}")
-    coeffs, logk, log_weighted = _accel_coeffs(n)
-    return coeffs, log_weighted, np.exp(-s * logk)
+    coeffs, log_weighted = _accel_coeffs(n)
+    return coeffs, log_weighted, _powers(s, n)
 
 
 def eta_eval(s: complex) -> complex:
@@ -110,14 +165,25 @@ def eta_eval(s: complex) -> complex:
 # Euler-Maclaurin fallback (eta-denominator zeros s = 1 + 2 pi i k / ln 2)
 
 
+@lru_cache(maxsize=None)
+def _em_coefficients() -> tuple[float, ...]:
+    """B_2k / (2k)! for k = 1.._EM_CORRECTIONS, built once per process."""
+    return tuple(
+        float(bernoulli_exact(2 * k)) / math.factorial(2 * k) for k in range(1, _EM_CORRECTIONS + 1)
+    )
+
+
 def _zeta_euler_maclaurin(s: complex, derivative: bool = False):
     """zeta(s) by Euler-Maclaurin summation to N = max(30, 1.3 |Im s|) with
     _EM_CORRECTIONS Bernoulli corrections.  With ``derivative`` it returns
     the pair (zeta(s), zeta'(s)), zeta' from the same terms differentiated
-    in s."""
+    in s.  n^-s is the prefix of _powers for N rounded up to 32, which keeps
+    the _power_table keys to multiples of 32 and leaves the terms n <= N as
+    they are."""
     n_cut = max(30, int(1.3 * abs(s.imag)))
-    log_n = np.log(np.arange(1, n_cut + 1))
-    powers = np.exp(-s * log_n)
+    n_table = -(-n_cut // 32) * 32
+    log_n = _power_table(n_table)[0][:n_cut]
+    powers = _powers(s, n_table)[:n_cut]
     ln_n = math.log(n_cut)
     head = cmath.exp((1 - s) * ln_n) / (s - 1)
     last = cmath.exp(-s * ln_n)
@@ -127,8 +193,7 @@ def _zeta_euler_maclaurin(s: complex, derivative: bool = False):
         d_total = -complex(log_n @ powers) - head * (ln_n + 1 / (s - 1)) + 0.5 * ln_n * last
         d_rising = 1.0
     rising = s
-    for k in range(1, _EM_CORRECTIONS + 1):
-        coef = float(bernoulli_exact(2 * k)) / math.factorial(2 * k)
+    for k, coef in enumerate(_em_coefficients(), start=1):
         power = cmath.exp((1 - s - 2 * k) * ln_n)
         total += coef * rising * power
         if derivative:

@@ -45,6 +45,17 @@ ZETA_REFLECTED_HIGH = (
     (complex(-0.5, 1000.0), complex(-123.54067467709959, 90.000077494702263)),
     (complex(0.2, -455.0), complex(-1.9025058664642367, -0.55478708527725080)),
 )
+# on the critical line out to t ~ 1000, and right of it past t = 450:
+# (s, zeta(s))
+ZETA_LINE_HIGH = (
+    (complex(0.5, 150.0), complex(-0.063505056548605231, -0.065192759925805233)),
+    (complex(0.5, 300.0), complex(0.47745567187848255, 0.60790213327955307)),
+    (complex(0.5, 450.0), complex(0.25140402346593027, -0.14832781269974273)),
+    (complex(0.5, 700.0), complex(-0.16949586069461576, -0.93191512914221893)),
+    (complex(0.5, 999.5), complex(0.82647382794348790, -0.65286139334042658)),
+    (complex(0.8, 610.0), complex(1.0063556955498075, -0.15118991185316671)),
+    (complex(1.5, -875.25), complex(1.0168699186502841, 0.095184955501565526)),
+)
 # left of Re s ~ -141, where Gamma(1-s) alone overflows a direct product
 ZETA_FAR_LEFT = (
     (-141.25, -3.4807542425883930e+130),

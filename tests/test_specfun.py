@@ -157,6 +157,16 @@ class TestReflection:
         with pytest.raises(DomainError):
             reflection_residual(2 + 0j)
 
+    @pytest.mark.parametrize("s", [complex(0.5, 230.0), complex(0.5, 1000.0), complex(0.1, -600.0)])
+    def test_past_sine_overflow(self, s):
+        # sin(pi s) alone overflows from |Im s| ~ 226
+        assert reflection_residual(s) < 1e-10
+
+    def test_product_beyond_double_range_is_typed(self):
+        # the log-space product's rounding at |s| ~ 1.9e18 leaves double range
+        with pytest.raises(DomainError, match="reflection residual"):
+            reflection_residual(complex(1.8528503476184187e18, -2462.416861073777))
+
 
 class TestDigamma:
     def test_at_one(self):
@@ -219,6 +229,18 @@ class TestSeriesSummation:
         monkeypatch.setattr(specfun, "_SERIES_TERMS", 10)
         digamma_series_reference(2)
         assert len(blocks) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_argument_rejected_before_any_block(self, monkeypatch):
+        # past |s| ~ 9.5e150 ((n + x)^2 + y^2)(n + 1) overflows the block arithmetic
+        blocks = []
+        arange = specfun.np.arange
+        monkeypatch.setattr(specfun.np, "arange", lambda *a, **k: blocks.append(a) or arange(*a, **k))
+        for s in (1e160, complex(0.5, -1e160)):
+            for fn in (digamma_series_reference, psi_pair_series):
+                with pytest.raises(DomainError, match=fn.__name__):
+                    fn(s)
+        assert blocks == []
 
     def test_odd_term_count_matches_fsum(self, monkeypatch):
         # 10_001 terms fill no power-of-two block exactly, so the last

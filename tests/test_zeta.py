@@ -10,9 +10,10 @@ from zetasphere import zeta
 from zetasphere.errors import ConvergenceError, DomainError, PoleError, ZetasphereError
 from zetasphere.specfun import gamma
 from zetasphere.zeta import (
-    _ETA_TOLERANCE,
-    _accel_coeffs,
-    _accel_terms_needed,
+    _SPLIT_MIN_TERMS,
+    _eta_terms,
+    _power_table,
+    _powers,
     completed_zeta,
     completed_zeta_phase_logderiv,
     eta_eval,
@@ -38,6 +39,7 @@ from reference_values import (
     ZETA_AT_ETA_DENOM_ZERO,
     ZETA_FAR_LEFT,
     ZETA_HALF,
+    ZETA_LINE_HIGH,
     ZETA_NEAR_TRIVIAL,
     ZETA_REFLECTED_HIGH,
     ZETA_SPOT,
@@ -67,11 +69,10 @@ class TestEta:
         "s", [complex(0.5, 14.134725), complex(0.5, 450.0), complex(0.5, 1000.0), complex(2.0, 30.0)]
     )
     def test_sum_matches_fsum_of_the_same_terms(self, s):
-        n = _accel_terms_needed(abs(s.imag), _ETA_TOLERANCE)
-        coeffs, logk, _ = _accel_coeffs(n)
-        terms = coeffs * np.exp(-s * logk)
+        coeffs, _, powers = _eta_terms(s)
+        terms = coeffs * powers
         reference = complex(math.fsum(terms.real), math.fsum(terms.imag))
-        scale = float(np.sum(np.abs(coeffs) * np.exp(-s.real * logk)))
+        scale = float(np.sum(np.abs(coeffs) * np.abs(powers)))
         assert abs(eta_eval(s) - reference) <= 1e-15 * scale
 
     def test_repeat_calls_bit_identical(self):
@@ -83,6 +84,54 @@ class TestEta:
         for s in (complex(math.nan, 1.0), complex(1.0, math.inf)):
             with pytest.raises(DomainError):
                 eta_eval(s)
+
+
+class TestPowers:
+    # exponentials per n-term sum: the distinct 2^a 3^b <= n and m <= n coprime to 6
+    BASIS_SIZES = {128: 64, 256: 112, 512: 204, 928: 347, 1312: 479}
+
+    @pytest.mark.parametrize("n", sorted(BASIS_SIZES))
+    def test_split_tables(self, n):
+        logk, log_basis, i_smooth, i_rough = _power_table(n)
+        assert log_basis.size == self.BASIS_SIZES[n]
+        basis = np.rint(np.exp(log_basis)).astype(np.int64)
+        assert np.all(np.diff(basis) > 0)
+        assert np.array_equal(log_basis, logk[basis - 1])
+        smooth, rough = basis[i_smooth], basis[i_rough]
+        assert np.array_equal(smooth * rough, np.arange(1, n + 1))
+        assert np.all((rough % 2 != 0) & (rough % 3 != 0))
+        for p in (2, 3):
+            while (divisible := smooth % p == 0).any():
+                smooth = np.where(divisible, smooth // p, smooth)
+        assert np.all(smooth == 1)
+
+    @pytest.mark.parametrize(
+        "s", [complex(0.5, 14.134725), complex(0.5, 450.0), complex(0.5, 999.5), complex(1.5, -875.25)]
+    )
+    def test_split_matches_direct_exponentials(self, s):
+        logk, _, i_smooth, i_rough = _power_table(1312)
+        direct = np.exp(-s * logk)
+        split = _powers(s, 1312)
+        # S^-s m^-s rounds t log S + t log m where exp rounds t log k
+        bound = 4 * np.finfo(float).eps * abs(s) * logk * np.abs(direct)
+        assert np.all(np.abs(split - direct) <= bound)
+        # a factor of exactly 1: S = 1 or m = 1 (index 0 is the basis value 1)
+        pure = (i_smooth == 0) | (i_rough == 0)
+        assert np.array_equal(split[pure], direct[pure])
+
+    def test_small_sums_exponentiate_every_term(self):
+        s = complex(0.5, 90.0)
+        for n in (30, 32, _SPLIT_MIN_TERMS - 32):
+            assert np.array_equal(_powers(s, n), np.exp(-s * np.log(np.arange(1.0, n + 1.0))))
+
+    def test_prefix_does_not_depend_on_table_size(self):
+        # 608 terms read the 1024-row split table, 1312 the 2048-row one;
+        # the Euler-Maclaurin route takes 589 of 608
+        s = complex(1.0, 453.2)
+        assert np.array_equal(_powers(s, 608)[:589], _powers(s, 1312)[:589])
+        logk, log_basis, i_smooth, i_rough, counts = zeta._split_table(2048)
+        e = np.exp(-s * log_basis[: counts[607]])
+        assert np.array_equal(_powers(s, 608), e[i_smooth[:608]] * e[i_rough[:608]])
 
 
 class TestZeta:
@@ -132,6 +181,10 @@ class TestZeta:
         # sin(pi s/2) alone overflows past |Im s| ~ 452; f(s) must not
         for s, ref in ZETA_REFLECTED_HIGH:
             assert abs(zeta_eval(s) - ref) <= 1e-10 * abs(ref)
+
+    def test_line_and_right_of_it_past_t_450(self):
+        for s, ref in ZETA_LINE_HIGH:
+            assert abs(zeta_eval(s) - ref) <= 2e-12 * max(abs(ref), 1.0)
 
     def test_far_left_past_gamma_overflow(self):
         # Gamma(1-s) overflows a direct product left of Re s ~ -141; f(s) and

@@ -4,11 +4,23 @@
 Run this once and paste the printed block into the test suite.  The
 toolkit itself never imports mpmath; everything the tests assert against
 is frozen output of this script (plus exact rationals and closed forms).
+
+With --check it mints the values, compares each exactly with the value of
+the same name in tests/reference_values.py (STIELTJES_0..4 against
+STIELTJES_REF) and exits 1 on a mismatch or a name the file lacks.
 """
 
+import argparse
+import contextlib
+import io
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import mpmath as mp
+
+REFERENCE_FILE = Path(__file__).resolve().parent.parent / "tests" / "reference_values.py"
 
 mp.mp.dps = 40
 
@@ -33,6 +45,13 @@ def main():
         lg = mp.loggamma(s)
         print("    (%r, %s, complex(%s, %s), %s)," % (
             x, fmt(mp.gamma(s)), fmt(lg.real), fmt(lg.imag), fmt(mp.digamma(s))))
+    print(")")
+    # psi at the gamma suite's series cross-check points, left of the poles,
+    # far off the axis and at |s| >> 8192, where the series' tail carries it
+    print("DIGAMMA_SERIES = (")
+    for s0 in ((1.0, 0.0), (2.0, 0.0), (0.3, 0.7), (0.5, 2.0), (-3.5, 0.1), (5e4, 3e4), (1e7, 0.0)):
+        p = mp.digamma(mp.mpc(*s0))
+        print("    (complex%r, complex(%s, %s))," % (s0, fmt(p.real), fmt(p.imag)))
     print(")")
     # log Gamma in 0 < Re s < 1/2, taken by one shift from Re s + 1; out to
     # Im s = 500, the sign kernel's log Gamma(s/2) at t = 1000
@@ -173,5 +192,30 @@ def main():
     print("ZEROS_BELOW_1000 =", mp.nzeros(1000))
 
 
+def check() -> int:
+    """Compare every minted value with its frozen twin; 0 when all match."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        main()
+    minted = {}
+    exec(text.getvalue(), {}, minted)
+    minted["STIELTJES_REF"] = tuple(minted.pop("STIELTJES_%d" % k) for k in range(5))
+    frozen = runpy.run_path(str(REFERENCE_FILE))
+    bad = 0
+    for name, value in minted.items():
+        if name not in frozen:
+            print("missing from %s: %s" % (REFERENCE_FILE.name, name))
+            bad += 1
+        elif frozen[name] != value:
+            print("%s differs: minted %r, frozen %r" % (name, value, frozen[name]))
+            bad += 1
+    print("%d of %d minted values match %s" % (len(minted) - bad, len(minted), REFERENCE_FILE.name))
+    return 1 if bad else 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true", help="compare with tests/reference_values.py instead of printing")
+    if parser.parse_args().check:
+        sys.exit(check())
     main()

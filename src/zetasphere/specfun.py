@@ -50,15 +50,16 @@ _PSI_ASYMPTOTIC = (
     -1.0 / 12,
 )
 
-# terms per numpy block of the cross-check series; one float64 block is
-# 64 KB, so the temporaries stay small next to the whole 1e6-term range
-_SERIES_CHUNK = 8192
-# terms of each cross-check series; the closed-form tail takes the rest
-_SERIES_TERMS = 10**6
+# terms of each cross-check series, summed as one numpy block; the
+# closed-form tail takes the rest
+_SERIES_TERMS = 8192
 # largest |s| the cross-check series take: (n + x)^2 + y^2 <= (n + |s|)^2,
 # so below it ((n + x)^2 + y^2)(n + 1) stays under half the largest double
 # for every n < _SERIES_TERMS
 _SERIES_MAX_ARG = math.sqrt(sys.float_info.max / (2 * _SERIES_TERMS)) - _SERIES_TERMS
+# highest |Im s| reflection_residual takes: its log-space rounding grows like
+# |t| log |t| eps, 6.6e-12 at 0.1 - 1e4i but 8.9e-10 at 0.1 - 1e5i
+_REFLECTION_MAX_IM = 1e4
 
 
 def _nonpositive_integer_index(s: complex) -> int | None:
@@ -213,25 +214,14 @@ def digamma(s: complex) -> complex:
     return acc + cmath.log(s) - 0.5 / s + tail
 
 
-def _series_sum(term):
-    """Sums of the summand blocks ``term(n)`` over n = 0, 1, ..., _SERIES_TERMS - 1.
-
-    ``term`` maps a float64 block of n, which it may overwrite, to a tuple
-    of summand arrays.  numpy adds each block pairwise; the block sums are
-    added in order of n.
-    """
-    total = 0.0
-    for start in range(0, _SERIES_TERMS, _SERIES_CHUNK):
-        n = np.arange(start, min(start + _SERIES_CHUNK, _SERIES_TERMS), dtype=np.float64)
-        total = total + np.array([block.sum() for block in term(n)])
-    return total
-
-
 def _series_tail(s: complex) -> complex:
-    """Integral of (s-1)/((t+1)(t+s)) from n = _SERIES_TERMS to infinity
-    plus half the boundary term (Euler-Maclaurin to first order)."""
+    """Sum of f(n) = (s-1)/((n+1)(n+s)) over n >= N = _SERIES_TERMS by
+    Euler-Maclaurin to second order: the integral of f from N, f(N)/2 and
+    -f'(N)/12 = (s-1)(2N+s+1)/(12 q^2), q = (N+1)(N+s), each quotient
+    taken apart so it stays in double range up to _SERIES_MAX_ARG."""
     n = _SERIES_TERMS
-    return cmath.log((n + s) / (n + 1)) + 0.5 * (s - 1) / ((n + 1) * (n + s))
+    q = (n + 1) * (n + s)
+    return cmath.log((n + s) / (n + 1)) + 0.5 * (s - 1) / q + ((s - 1) / q) * ((2 * n + s + 1) / q) / 12
 
 
 def _series_argument(s, name: str) -> complex:
@@ -244,13 +234,13 @@ def _series_argument(s, name: str) -> complex:
 
 
 def digamma_series_reference(s: complex) -> complex:
-    """Cross-check path: -gamma + sum (s-1)/((n+1)(n+s)) with an integral
-    tail correction.  Converges too slowly for production; kept as the
-    independent route against :func:`digamma`.
+    """Cross-check path: -gamma + sum (s-1)/((n+1)(n+s)) over _SERIES_TERMS
+    terms plus the Euler-Maclaurin tail.  Kept as the independent route
+    against :func:`digamma`.
 
     The sum is taken in real arithmetic as
     (s-1) sum conj(n+s) / ((n+1)|n+s|^2), the same series term by term.
-    DomainError past |s| = _SERIES_MAX_ARG (~9.5e150).
+    DomainError past |s| = _SERIES_MAX_ARG (~1.05e152).
     """
     s = _series_argument(s, "digamma_series_reference")
     if _nonpositive_integer_index(s) is not None:
@@ -260,17 +250,10 @@ def digamma_series_reference(s: complex) -> complex:
         # every summand carries the factor s - 1
         return -EULER_GAMMA + _series_tail(s)
 
-    def term(n):
-        nx = n + x
-        w = nx * nx
-        w += y * y
-        n += 1
-        w *= n
-        nx /= w
-        return nx, np.divide(1.0, w, out=w)
-
-    re_sum, im_sum = _series_sum(term)
-    total = (s - 1) * complex(re_sum, -y * im_sum)
+    n = np.arange(_SERIES_TERMS, dtype=np.float64)
+    nx = n + x
+    w = (nx * nx + y * y) * (n + 1)
+    total = (s - 1) * complex(np.sum(nx / w), -y * np.sum(1.0 / w))
     return -EULER_GAMMA + total + _series_tail(s)
 
 
@@ -304,10 +287,14 @@ def reflection_residual(s: complex) -> float:
     the reflection identity by construction.  Past |Im s| > 20, where
     sin(pi s) and the Gammas leave double range long before their product
     does, the product is taken in log space.  Contract: < 1e-10 in the
-    critical strip off integers.  DomainError where the product itself
+    critical strip off integers, up to |Im s| = 1e4.  DomainError past
+    |Im s| = 1e4, where the log-space sum of three terms of size
+    ~|t| log |t| keeps only their rounding, and wherever the product itself
     leaves double range.
     """
     s = finite_argument(s, "reflection_residual")
+    if abs(s.imag) > _REFLECTION_MAX_IM:
+        raise DomainError(f"reflection residual at s = {s}: |Im s| > {_REFLECTION_MAX_IM:g} loses its accuracy")
     if abs(s.imag) <= POLE_WINDOW and abs(s.real - round(s.real)) <= POLE_WINDOW:
         raise DomainError(f"reflection identity degenerate at integer s={s}")
     strip = 0 < s.real < 1
@@ -337,7 +324,7 @@ def psi_pair_series(s: complex) -> float:
 
     Independent route against :func:`psi_pair`; the summand is
     ((x-1)(x+n) + y^2) / ((n+1)((n+x)^2 + y^2)).  DomainError past
-    |s| = _SERIES_MAX_ARG (~9.5e150).
+    |s| = _SERIES_MAX_ARG (~1.05e152).
     """
     s = _series_argument(s, "psi_pair_series")
     if _nonpositive_integer_index(s) is not None or _nonpositive_integer_index(
@@ -349,18 +336,9 @@ def psi_pair_series(s: complex) -> float:
         # the numerator (x-1)(x+n) + y^2 is 0 for every n exactly here
         return 2.0 * (-EULER_GAMMA + _series_tail(s).real)
 
-    def term(n):
-        nx = n + x
-        num = nx * (x - 1)
-        num += y * y
-        den = np.multiply(nx, nx, out=nx)
-        den += y * y
-        n += 1
-        den *= n
-        num /= den
-        return (num,)
-
-    total = float(_series_sum(term)[0])
+    n = np.arange(_SERIES_TERMS, dtype=np.float64)
+    nx = n + x
+    total = float(np.sum(((x - 1) * nx + y * y) / ((nx * nx + y * y) * (n + 1))))
     # same tail as the complex series, taken through its real part
     result = 2.0 * (-EULER_GAMMA + total + _series_tail(s).real)
     if math.isnan(result):

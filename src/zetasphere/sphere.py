@@ -160,10 +160,6 @@ class SectorMap:
         return tuple(-t for t in reversed(self._ords)) + tuple(self._ords)
 
 
-def identity_map(x: float, y: float) -> tuple[float, float]:
-    return x, y
-
-
 def cr_residual(
     map_fn: Callable[[float, float], tuple[float, float]],
     z: complex,

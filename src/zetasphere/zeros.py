@@ -275,17 +275,3 @@ def records_to_json(records: list[ZeroRecord]) -> str:
         for r in records
     ]
     return json.dumps(payload, indent=2) + "\n"
-
-
-def ordinates_from_csv(text: str) -> list[float]:
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("ordinate"):
-            continue
-        out.append(float(line.split(",")[0]))
-    return out
-
-
-def ordinates_from_json(text: str) -> list[float]:
-    return [row["ordinate"] for row in json.loads(text)]

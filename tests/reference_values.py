@@ -12,6 +12,17 @@ ABS_GAMMA_HALF_PLUS_I = 0.52059096361675195
 ABS_GAMMA_ONE_PLUS_I = 0.52156404686493984
 DIGAMMA_ONE = -0.57721566490153286
 DIGAMMA_TWO = 0.42278433509846714
+# psi at the gamma suite's series cross-check points, left of the poles, far
+# off the axis and at |s| >> 8192, where the series' tail carries it: (s, psi(s))
+DIGAMMA_SERIES = (
+    (complex(1.0, 0.0), complex(-0.57721566490153286, 0.0)),
+    (complex(2.0, 0.0), complex(0.42278433509846714, 0.0)),
+    (complex(0.3, 0.7), complex(-0.44720792029956117, 1.8918108552185267)),
+    (complex(0.5, 2.0), complex(0.68218669934942427, 1.5707853710239763)),
+    (complex(-3.5, 0.1), complex(1.3891786175830498, 0.93085589831014866)),
+    (complex(50000.0, 30000.0), complex(10.973513281331553, 0.54042391205691634)),
+    (complex(10000000.0, 0.0), complex(16.118095600958319, 0.0)),
+)
 # next to the poles, where the reflection's sin(pi s) is a small difference:
 # (s, Gamma(s), log Gamma(s), psi(s))
 GAMMA_NEAR_POLES = (

@@ -22,6 +22,7 @@ from reference_values import (
     ABS_GAMMA_HALF_PLUS_I,
     ABS_GAMMA_ONE_PLUS_I,
     DIGAMMA_ONE,
+    DIGAMMA_SERIES,
     DIGAMMA_TWO,
     GAMMA_HALF_PLUS_I,
     GAMMA_NEAR_POLES,
@@ -162,6 +163,14 @@ class TestReflection:
         # sin(pi s) alone overflows from |Im s| ~ 226
         assert reflection_residual(s) < 1e-10
 
+    @pytest.mark.parametrize("x", [0.05, 0.1, 0.5, 0.9])
+    def test_height_limit(self, x):
+        # the contract holds up to |Im s| = 1e4 and the next double past it raises
+        for t in (1e4, -1e4):
+            assert reflection_residual(complex(x, t)) < 1e-10
+            with pytest.raises(DomainError, match="reflection residual"):
+                reflection_residual(complex(x, math.nextafter(t, 2 * t)))
+
     def test_product_beyond_double_range_is_typed(self):
         # the log-space product's rounding at |s| ~ 1.9e18 leaves double range
         with pytest.raises(DomainError, match="reflection residual"):
@@ -210,13 +219,22 @@ class TestSeriesSummation:
 
     @staticmethod
     def _tail(s, n):
-        return cmath.log((n + s) / (n + 1)) + 0.5 * (s - 1) / ((n + 1) * (n + s))
+        q = (n + 1) * (n + s)
+        return cmath.log((n + s) / (n + 1)) + 0.5 * (s - 1) / q + (s - 1) * (2 * n + s + 1) / (12 * q * q)
 
     def test_default_terms_agree_with_digamma(self):
         for s in self.DIGAMMA_POINTS:
             assert abs(digamma(s) - digamma_series_reference(s)) < 1e-14
         for s in self.PSI_POINTS:
             assert abs(psi_pair(s) - psi_pair_series(s)) < 1e-14
+
+    @pytest.mark.parametrize("s, psi", DIGAMMA_SERIES)
+    def test_both_series_match_mpmath(self, s, psi):
+        # the suite's points, left of the poles, far off the axis, and at
+        # |s| >> _SERIES_TERMS, where the tail carries most of the sum
+        bound = 4e-15 * max(1.0, abs(psi))
+        assert abs(digamma_series_reference(s) - psi) <= bound
+        assert abs(psi_pair_series(s) - 2 * psi.real) <= bound
 
     def test_exact_zero_series_at_one(self, monkeypatch):
         # every summand is exactly 0 at s = 1, so no block is built
@@ -232,7 +250,7 @@ class TestSeriesSummation:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_argument_rejected_before_any_block(self, monkeypatch):
-        # past |s| ~ 9.5e150 ((n + x)^2 + y^2)(n + 1) overflows the block arithmetic
+        # past |s| ~ 1.05e152 ((n + x)^2 + y^2)(n + 1) overflows the block arithmetic
         blocks = []
         arange = specfun.np.arange
         monkeypatch.setattr(specfun.np, "arange", lambda *a, **k: blocks.append(a) or arange(*a, **k))
@@ -242,9 +260,17 @@ class TestSeriesSummation:
                     fn(s)
         assert blocks == []
 
+    @pytest.mark.filterwarnings("error")
+    def test_largest_arguments_stay_finite(self):
+        # at 0.9 _SERIES_MAX_ARG the block and the tail's quotients stay in double range
+        r = 0.9 * specfun._SERIES_MAX_ARG
+        for s in (complex(r, 0.0), complex(0.5, -r), r * cmath.exp(0.7j)):
+            psi = digamma(s)
+            assert abs(digamma_series_reference(s) - psi) <= 1e-15 * abs(psi)
+            assert abs(psi_pair_series(s) - 2 * psi.real) <= 1e-15 * abs(psi)
+
     def test_odd_term_count_matches_fsum(self, monkeypatch):
-        # 10_001 terms fill no power-of-two block exactly, so the last
-        # partial block and the term count both show in the result
+        # an odd term count, away from the default, shows in the sum and the tail
         n_terms = 10_001
         monkeypatch.setattr(specfun, "_SERIES_TERMS", n_terms)
         for s in self.DIGAMMA_POINTS:

@@ -14,7 +14,6 @@ from zetasphere.sphere import (
     covering_a,
     covering_b,
     cr_residual,
-    identity_map,
     is_infinity,
     sector_retraction,
     stereo_lift,
@@ -157,7 +156,7 @@ class TestCRResidual:
     ords = list(ZERO_ORDINATES[:5])
 
     def test_identity_map_is_holomorphic(self):
-        r1, r2 = cr_residual(identity_map, 0.3 + 2j, 1e-6)
+        r1, r2 = cr_residual(lambda x, y: (x, y), 0.3 + 2j, 1e-6)
         assert r1 < 1e-9 and r2 < 1e-9
 
     def test_sector_map_first_gap(self):
@@ -179,7 +178,7 @@ class TestCRResidual:
 
     def test_step_validation(self):
         with pytest.raises(DomainError):
-            cr_residual(identity_map, 1j, 0.5)
+            cr_residual(lambda x, y: (x, y), 1j, 0.5)
 
     def test_first_component_bounded_away_from_zero_on_sectors(self):
         sm = SectorMap(self.ords)

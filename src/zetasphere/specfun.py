@@ -226,10 +226,17 @@ def _series_tail(s: complex) -> complex:
 
 def _series_argument(s, name: str) -> complex:
     """finite_argument(s), or DomainError past |s| = _SERIES_MAX_ARG, where
-    the series' block arithmetic would overflow."""
+    the series' block arithmetic would overflow, and in the half-strip
+    Re s < -N/2, |Im s| < N/2 (N = _SERIES_TERMS), where the tail's
+    integration path [N, inf) runs near the summand's pole at t = -s.
+    Outside it |N + s| >= N/2, so the Euler-Maclaurin remainder stays
+    below ~1e-17."""
     s = finite_argument(s, name)
     if abs(s) > _SERIES_MAX_ARG:
         raise DomainError(f"{name} at s = {s}: |s| > {_SERIES_MAX_ARG:.3g} overflows its summands")
+    half = _SERIES_TERMS / 2
+    if s.real < -half and abs(s.imag) < half:
+        raise DomainError(f"{name} at s = {s}: Re s < -{half:g} with |Im s| < {half:g} puts its tail near a pole")
     return s
 
 
@@ -240,7 +247,8 @@ def digamma_series_reference(s: complex) -> complex:
 
     The sum is taken in real arithmetic as
     (s-1) sum conj(n+s) / ((n+1)|n+s|^2), the same series term by term.
-    DomainError past |s| = _SERIES_MAX_ARG (~1.05e152).
+    DomainError past |s| = _SERIES_MAX_ARG (~1.05e152) and for
+    Re s < -4096 with |Im s| < 4096 (see :func:`_series_argument`).
     """
     s = _series_argument(s, "digamma_series_reference")
     if _nonpositive_integer_index(s) is not None:
@@ -324,7 +332,8 @@ def psi_pair_series(s: complex) -> float:
 
     Independent route against :func:`psi_pair`; the summand is
     ((x-1)(x+n) + y^2) / ((n+1)((n+x)^2 + y^2)).  DomainError past
-    |s| = _SERIES_MAX_ARG (~1.05e152).
+    |s| = _SERIES_MAX_ARG (~1.05e152) and for Re s < -4096 with
+    |Im s| < 4096 (see :func:`_series_argument`).
     """
     s = _series_argument(s, "psi_pair_series")
     if _nonpositive_integer_index(s) is not None or _nonpositive_integer_index(

@@ -217,11 +217,6 @@ class TestSeriesSummation:
     DIGAMMA_POINTS = (1 + 0j, 2 + 0j, 0.3 + 0.7j)
     PSI_POINTS = (1 + 0j, 0.5 + 2j)
 
-    @staticmethod
-    def _tail(s, n):
-        q = (n + 1) * (n + s)
-        return cmath.log((n + s) / (n + 1)) + 0.5 * (s - 1) / q + (s - 1) * (2 * n + s + 1) / (12 * q * q)
-
     def test_default_terms_agree_with_digamma(self):
         for s in self.DIGAMMA_POINTS:
             assert abs(digamma(s) - digamma_series_reference(s)) < 1e-14
@@ -269,6 +264,18 @@ class TestSeriesSummation:
             assert abs(digamma_series_reference(s) - psi) <= 1e-15 * abs(psi)
             assert abs(psi_pair_series(s) - 2 * psi.real) <= 1e-15 * abs(psi)
 
+    def test_tail_near_its_pole_rejected(self):
+        # Re s < -4096 with |Im s| < 4096 puts the tail's path [8192, inf)
+        # near the summand's pole at n = -s
+        for s in (-8192.3, complex(-1e4, 0.1), -1e7, complex(-5000.5, -4000.0)):
+            for fn in (digamma_series_reference, psi_pair_series):
+                with pytest.raises(DomainError, match=fn.__name__):
+                    fn(s)
+        for s in (complex(-4000.5, 0.1), complex(-1e4, 5000.0)):
+            psi = digamma(s)
+            assert abs(digamma_series_reference(s) - psi) <= 4e-15 * abs(psi)
+            assert abs(psi_pair_series(s) - 2 * psi.real) <= 4e-15 * abs(psi)
+
     def test_odd_term_count_matches_fsum(self, monkeypatch):
         # an odd term count, away from the default, shows in the sum and the tail
         n_terms = 10_001
@@ -276,12 +283,12 @@ class TestSeriesSummation:
         for s in self.DIGAMMA_POINTS:
             terms = [(s - 1) / ((n + 1) * (n + s)) for n in range(n_terms)]
             total = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
-            expected = -EULER_GAMMA + total + self._tail(s, n_terms)
+            expected = -EULER_GAMMA + total + specfun._series_tail(s)
             assert abs(digamma_series_reference(s) - expected) < 1e-15
         for s in self.PSI_POINTS:
             x, y = s.real, s.imag
             total = math.fsum(
                 ((x - 1) * (x + n) + y * y) / ((n + 1) * ((n + x) ** 2 + y * y)) for n in range(n_terms)
             )
-            expected = 2.0 * (-EULER_GAMMA + total + self._tail(s, n_terms).real)
+            expected = 2.0 * (-EULER_GAMMA + total + specfun._series_tail(s).real)
             assert abs(psi_pair_series(s) - expected) < 1e-15

@@ -7,8 +7,9 @@ log2(0.25 / 1e-9) = 28 halvings, 28 kernel evaluations, since its two ends
 come from the grid (30 for a bracket refined on its own).
 
 An independent count of zeros inside a rectangle comes from the winding of
-the completed zeta along the boundary: trapezoid quadrature of its
-log-derivative with adaptive halving, phase-step guarded.  The
+the completed zeta along the boundary: adaptive Simpson quadrature of its
+log-derivative, phase-step guarded, which halves a segment until Simpson's
+rule on it and the composite rule over its quarter points agree.  The
 log-derivative is analytic and the phase is taken in log space, so neither
 underflows and the count reaches t = 1000.  A node left of the critical line
 is the conjugate of its mirror image across Re s = 1/2, so a contour
@@ -39,6 +40,8 @@ from .zeta import (
 )
 
 BRACKET_TOLERANCE = 1e-9
+QUADRATURE_TOLERANCE = 2e-4  # rectangle count: split while |fine - coarse| exceeds this
+QUADRATURE_MAX_DEPTH = 30  # rectangle count: most halvings of one edge
 CRITERION_RADIUS = 1e-4
 CSV_HEADER = f"# zetasphere v{__version__}"
 
@@ -170,11 +173,14 @@ def scan_zeros(t0: float, t1: float, step: float) -> list[ZeroRecord]:
 def count_zeros_rectangle(rect: Rectangle) -> int:
     """Winding number (1/2 pi i) contour integral of zt'/zt around rect.
 
-    Trapezoid on the boundary with adaptive halving; a segment is split
-    until its endpoint phase step drops below pi/4 AND its own two-level
-    trapezoid estimates agree.  The phase of zt and the log-derivative
-    zt'/zt come analytically from ``completed_zeta_phase_logderiv``, in log
-    space, so the count works out to t = 1000, where zt itself underflows.
+    Adaptive Simpson quadrature on the boundary: a segment is halved
+    until its endpoint phase step drops below pi/4 AND Simpson's rule over
+    its ends and midpoint agrees within QUADRATURE_TOLERANCE with the
+    composite rule over its quarter points, whose value is kept; the halves
+    take the quarter points as their midpoints, so no node is evaluated
+    twice.  The phase of zt and the log-derivative zt'/zt come analytically
+    from ``completed_zeta_phase_logderiv``, in log space, so the count works
+    out to t = 1000, where zt itself underflows.
     Since zt(s) = conj zt(1 - conj s), a node z left of Re s = 1/2 takes
     (-phase, -conj(zt'/zt)) of its mirror image 1 - conj z, and a contour
     symmetric about the line costs one eta sum per mirror pair of nodes;
@@ -220,26 +226,27 @@ def count_zeros_rectangle(rect: Rectangle) -> int:
         return (node(zb)[0] - node(za)[0] + math.pi) % (2 * math.pi) - math.pi
 
     integral = 0j
-    max_depth = 30
     for i in range(4):
-        stack = [(corners[i], corners[i + 1], g(corners[i]), g(corners[i + 1]), 0)]
+        za, zb = corners[i], corners[i + 1]
+        zm = 0.5 * (za + zb)
+        stack = [(za, zm, zb, g(za), g(zm), g(zb), 0)]
         while stack:
-            za, zb, ga, gb, depth = stack.pop()
-            zm = 0.5 * (za + zb)
-            gm = g(zm)
-            coarse = 0.5 * (ga + gb) * (zb - za)
-            fine = 0.25 * (ga + gm) * (zb - za) + 0.25 * (gm + gb) * (zb - za)
+            za, zm, zb, ga, gm, gb, depth = stack.pop()
+            z1, z3 = 0.5 * (za + zm), 0.5 * (zm + zb)
+            g1, g3 = g(z1), g(z3)
+            coarse = (ga + 4 * gm + gb) * (zb - za) / 6
+            fine = (ga + 4 * g1 + 2 * gm + 4 * g3 + gb) * (zb - za) / 12
             dphi = abs(wrapped_step(za, zb))
-            if dphi > math.pi / 4 or abs(fine - coarse) > 2e-4:
-                if depth >= max_depth:
+            if dphi > math.pi / 4 or abs(fine - coarse) > QUADRATURE_TOLERANCE:
+                if depth >= QUADRATURE_MAX_DEPTH:
                     if dphi > math.pi / 4:
                         raise PhaseJumpError(
                             f"phase step {dphi:.3f} > pi/4 near {zm} after refinement; "
                             "boundary too close to a zero"
                         )
                 else:
-                    stack.append((za, zm, ga, gm, depth + 1))
-                    stack.append((zm, zb, gm, gb, depth + 1))
+                    stack.append((za, z1, zm, ga, g1, gm, depth + 1))
+                    stack.append((zm, z3, zb, gm, g3, gb, depth + 1))
                     continue
             if max(abs(wrapped_step(za, zm)), abs(wrapped_step(zm, zb))) > math.pi / 2:
                 raise PhaseJumpError(

@@ -160,8 +160,18 @@ class TestRectangleCount:
         assert count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, 30.0)) == 3
         assert all(s.real >= 0.5 for s in calls)
         assert len(set(calls)) == len(calls)
-        # the quadrature visits 824 contour nodes here, 2 of them on the line
-        assert len(calls) <= (824 + 2) // 2
+        # the quadrature visits 392 contour nodes here, 2 of them on the line
+        assert len(calls) <= (392 + 2) // 2
+
+    def test_count_to_100_takes_at_most_900_evaluations(self, monkeypatch):
+        # Simpson's rule over quarter points makes 865 calls here
+        calls = []
+        evaluate = zeros.completed_zeta_phase_logderiv
+        monkeypatch.setattr(
+            zeros, "completed_zeta_phase_logderiv", lambda s: calls.append(s) or evaluate(s)
+        )
+        assert count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, 100.0)) == ZEROS_BELOW_100
+        assert len(calls) <= 900
 
     def test_zero_at_a_mirror_node_names_the_contour_point(self, monkeypatch):
         evaluate = zeros.completed_zeta_phase_logderiv
@@ -212,6 +222,15 @@ class TestRectangleCount:
     def test_count_matches_scan_past_underflow(self, y_min, y_max, count):
         # completed_zeta is exactly 0 on these boundaries, past t ~ 945; the
         # phase and log-derivative are taken in log space
+        rect = Rectangle(-0.5, 1.5, y_min, y_max)
+        assert len(scan_zeros(y_min, y_max, 0.25)) == count_zeros_rectangle(rect) == count
+
+    @pytest.mark.parametrize(
+        "y_min, count", [(455.5, 4), (565.0, 4), (675.0, 4), (785.0, 5), (895.0, 5)]
+    )
+    def test_six_high_windows_past_the_benchmark_match_scan(self, y_min, count):
+        # every edge lies at least 0.065 from a zero
+        y_max = y_min + 6.0
         rect = Rectangle(-0.5, 1.5, y_min, y_max)
         assert len(scan_zeros(y_min, y_max, 0.25)) == count_zeros_rectangle(rect) == count
 

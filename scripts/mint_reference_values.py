@@ -61,6 +61,16 @@ def main():
         lg = mp.loggamma(mp.mpc(*s0))
         print("    (complex%r, complex(%s, %s))," % (s0, fmt(lg.real), fmt(lg.imag)))
     print(")")
+    # log Gamma(s/2) up the vertical lines Re s = sigma >= 1.1 out to t = 1000,
+    # where the rectangle count takes an edge as a difference of logs;
+    # mp.loggamma is the branch continuous off the negative real axis
+    print("LOGGAMMA_VERTICAL = (")
+    for sigma in (1.1, 1.25, 1.5, 1.75):
+        for y in (0.5, 20.0, 150.0, 500.0):
+            s0 = (sigma / 2, y)
+            lg = mp.loggamma(mp.mpc(*s0))
+            print("    (complex%r, complex(%s, %s))," % (s0, fmt(lg.real), fmt(lg.imag)))
+    print(")")
 
     print("# zeta")
     print("ZETA_HALF =", fmt(mp.zeta(mp.mpf(1) / 2)))

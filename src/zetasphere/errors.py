@@ -43,7 +43,7 @@ class NoSignChange(ZetasphereError, ValueError):
 
 
 class PhaseJumpError(ZetasphereError, ArithmeticError):
-    """Adjacent boundary phase samples stayed > pi/2 apart after refinement
+    """Adjacent boundary phase samples stayed > pi/4 apart after refinement
     (contour too close to a zero or pole)."""
 
 

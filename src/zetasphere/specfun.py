@@ -21,6 +21,7 @@ from .errors import ConvergenceError, DomainError, PoleError
 
 EULER_GAMMA = 0.5772156649015329
 _LNPI = math.log(math.pi)
+_LN_SQRT_2PI = 0.5 * math.log(2 * math.pi)
 
 POLE_WINDOW = 1e-12
 
@@ -133,7 +134,11 @@ def _logsin_pi(z: complex) -> complex:
 
 
 def loggamma(s: complex) -> complex:
-    """log Gamma(s); imaginary part consistent modulo 2*pi.
+    """log Gamma(s).  For Re s > 0 this is the branch continuous off the
+    negative real axis (real on the positive axis, mpmath's loggamma): every
+    log in it is principal with its argument off the cut; the Lanczos sum,
+    taken only at Re >= 1/2, keeps |arg| below 2.81 there.  For Re s <= 0
+    the imaginary part is only consistent modulo 2*pi.
 
     Used wherever Gamma itself would leave double range (completed zeta at
     large |Im s|, the critical-line sign kernel).  For 0 < Re s < 1/2 it is
@@ -156,7 +161,7 @@ def _loggamma_lanczos(s: complex) -> complex:
     zm = s - 1
     t = zm + _LANCZOS_G + 0.5
     return (
-        0.5 * math.log(2 * math.pi)
+        _LN_SQRT_2PI
         + (zm + 0.5) * cmath.log(t)
         - t
         + cmath.log(_lanczos_sum(zm))

@@ -98,7 +98,12 @@ def _strip_grid(n_x: int, n_y: int, y_max: float):
             if abs(y) < 0.2 or any(abs(abs(y) - t) < 0.45 for t in avoid):
                 y += 0.5
             pts.append(complex(x, y))
-    return pts
+    return tuple(pts)
+
+
+# built once per process: the functional and modulus suites read them on every run
+_FUNCTIONAL_GRID = _strip_grid(10, 20, 20.0)
+_MODULUS_GRID = _strip_grid(15, 20, 20.0)
 
 
 def _critical_line_unity_deviation() -> float:
@@ -127,10 +132,9 @@ def suite_table1() -> list[VerificationItem]:
 
 def suite_functional() -> list[VerificationItem]:
     items = []
-    grid = _strip_grid(10, 20, 20.0)
     worst_fe = 0.0
     worst_sym = 0.0
-    for s in grid:
+    for s in _FUNCTIONAL_GRID:
         z = zeta_eval(s)
         worst_fe = max(worst_fe, abs(z - functional_rhs(s)) / abs(z))
         # pi^(-s/2) Gamma(s/2) zeta(s) as printed, on both sides: completed_zeta
@@ -241,10 +245,9 @@ def suite_gamma() -> list[VerificationItem]:
 
 def suite_modulus() -> list[VerificationItem]:
     items = []
-    grid = _strip_grid(15, 20, 20.0)
     worst = 0.0
     bounds_ok = True
-    for s in grid:
+    for s in _MODULUS_GRID:
         breakdown = modulus.f_abs_closed(s)
         direct = abs(modulus.f_factor(s))
         worst = max(worst, abs(breakdown.product - direct) / direct)

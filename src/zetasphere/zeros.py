@@ -7,13 +7,18 @@ log2(0.25 / 1e-9) = 28 halvings, 28 kernel evaluations, since its two ends
 come from the grid (30 for a bracket refined on its own).
 
 An independent count of zeros inside a rectangle comes from the winding of
-the completed zeta along the boundary: adaptive Simpson quadrature of its
-log-derivative, phase-step guarded, which halves a segment until Simpson's
-rule on it and the composite rule over its quarter points agree.  The
-log-derivative is analytic and the phase is taken in log space, so neither
-underflows and the count reaches t = 1000.  A node left of the critical line
-is the conjugate of its mirror image across Re s = 1/2, so a contour
-symmetric about the line costs one eta sum per mirror pair of nodes.
+the completed zeta along the boundary.  A vertical edge at Re s >= 1.1 (or
+its mirror, Re s <= -0.1) is exact: there |arg zeta| < pi, the principal
+log Lambda is continuous along the edge (Backlund), and the edge's integral
+of Lambda'/Lambda is log Lambda(top) - log Lambda(bottom), read at corners
+the horizontal edges evaluate anyway.  The other edges take adaptive
+Simpson quadrature of the log-derivative, phase-step guarded, which halves
+a segment until Simpson's rule on it and the composite rule over its
+quarter points agree.  The log and log-derivative are analytic and taken in
+log space, so neither underflows and the count reaches t = 1000.  A node
+left of the critical line is the conjugate of its mirror image across
+Re s = 1/2, so a contour symmetric about the line costs one eta sum per
+mirror pair of nodes.
 """
 
 from __future__ import annotations
@@ -35,13 +40,16 @@ from .modulus import criterion_ratio
 from .zeta import (
     completed_log_prefactor,
     completed_zeta,
-    completed_zeta_phase_logderiv,
+    completed_zeta_log_logderiv,
     zeta_eval,
 )
 
 BRACKET_TOLERANCE = 1e-9
 QUADRATURE_TOLERANCE = 2e-4  # rectangle count: split while |fine - coarse| exceeds this
 QUADRATURE_MAX_DEPTH = 30  # rectangle count: most halvings of one edge
+# rectangle count: vertical edges this far from the critical line are taken
+# exactly; log zeta(1.1) = 2.36 < pi bounds |arg zeta| on Re s >= 1.1
+EXACT_EDGE_SIGMA = 1.1
 CRITERION_RADIUS = 1e-4
 CSV_HEADER = f"# zetasphere v{__version__}"
 
@@ -170,23 +178,71 @@ def scan_zeros(t0: float, t1: float, step: float) -> list[ZeroRecord]:
 # argument-principle counting
 
 
+def _simpson_edge(node, za: complex, zb: complex) -> complex:
+    """Integral of zt'/zt along the segment za -> zb by adaptive Simpson.
+
+    ``node(z)`` gives (log zt(z), zt'/zt(z)); only the imaginary part of the
+    log, the phase, is read, and only modulo 2 pi.  A segment is halved
+    until its end-to-end phase step and each of its four quarter-point
+    steps are within pi/4 AND Simpson's rule over its ends and midpoint
+    agrees within QUADRATURE_TOLERANCE with the composite rule over its
+    quarter points, whose value is kept; the halves take the quarter points
+    as their midpoints, so no node is evaluated twice.  Raises
+    PhaseJumpError when QUADRATURE_MAX_DEPTH halvings leave a step above
+    pi/4 (segment hugging a zero).
+    """
+
+    def wrapped_step(a: complex, b: complex) -> float:
+        return abs((b.imag - a.imag + math.pi) % (2 * math.pi) - math.pi)
+
+    zm = 0.5 * (za + zb)
+    (la, ga), (lm, gm), (lb, gb) = node(za), node(zm), node(zb)
+    stack = [(za, zm, zb, la, lm, lb, ga, gm, gb, 0)]
+    integral = 0j
+    while stack:
+        za, zm, zb, la, lm, lb, ga, gm, gb, depth = stack.pop()
+        z1, z3 = 0.5 * (za + zm), 0.5 * (zm + zb)
+        (l1, g1), (l3, g3) = node(z1), node(z3)
+        coarse = (ga + 4 * gm + gb) * (zb - za) / 6
+        fine = (ga + 4 * g1 + 2 * gm + 4 * g3 + gb) * (zb - za) / 12
+        # the quarter steps are guarded too: a winding near 2 pi over the
+        # whole segment wraps to a small end-to-end step
+        dphi = max(
+            wrapped_step(la, lb),
+            wrapped_step(la, l1),
+            wrapped_step(l1, lm),
+            wrapped_step(lm, l3),
+            wrapped_step(l3, lb),
+        )
+        if dphi > math.pi / 4 or abs(fine - coarse) > QUADRATURE_TOLERANCE:
+            if depth < QUADRATURE_MAX_DEPTH:
+                stack.append((za, z1, zm, la, l1, lm, ga, g1, gm, depth + 1))
+                stack.append((zm, z3, zb, lm, l3, lb, gm, g3, gb, depth + 1))
+                continue
+            if dphi > math.pi / 4:
+                raise PhaseJumpError(
+                    f"phase step {dphi:.3f} > pi/4 near {zm} after refinement; "
+                    "boundary too close to a zero"
+                )
+        integral += fine
+    return integral
+
+
 def count_zeros_rectangle(rect: Rectangle) -> int:
     """Winding number (1/2 pi i) contour integral of zt'/zt around rect.
 
-    Adaptive Simpson quadrature on the boundary: a segment is halved
-    until its endpoint phase step drops below pi/4 AND Simpson's rule over
-    its ends and midpoint agrees within QUADRATURE_TOLERANCE with the
-    composite rule over its quarter points, whose value is kept; the halves
-    take the quarter points as their midpoints, so no node is evaluated
-    twice.  The phase of zt and the log-derivative zt'/zt come analytically
-    from ``completed_zeta_phase_logderiv``, in log space, so the count works
-    out to t = 1000, where zt itself underflows.
+    A vertical edge at abscissa x with max(x, 1 - x) >= EXACT_EDGE_SIGMA
+    contributes exactly log zt(top) - log zt(bottom): there the log of
+    ``completed_zeta_log_logderiv`` is continuous along the line (Backlund),
+    and both corners are nodes of the horizontal edges, so the edge costs
+    nothing.  Every other edge, the horizontals and a vertical edge inside
+    the strip, is integrated by ``_simpson_edge``.  The log and the
+    log-derivative zt'/zt are taken analytically, in log space, so the count
+    works out to t = 1000, where zt itself underflows.
     Since zt(s) = conj zt(1 - conj s), a node z left of Re s = 1/2 takes
-    (-phase, -conj(zt'/zt)) of its mirror image 1 - conj z, and a contour
-    symmetric about the line costs one eta sum per mirror pair of nodes;
-    the cache lives for one call.  Raises PhaseJumpError when
-    refinement cannot get adjacent phases within pi/2 (boundary hugging a
-    zero).
+    (conj log zt, -conj(zt'/zt)) of its mirror image 1 - conj z, and a
+    contour symmetric about the line costs one eta sum per mirror pair of
+    nodes; the cache lives for one call.
     """
     corners = [
         complex(rect.x_min, rect.y_min),
@@ -195,64 +251,36 @@ def count_zeros_rectangle(rect: Rectangle) -> int:
         complex(rect.x_min, rect.y_max),
         complex(rect.x_min, rect.y_min),
     ]
-    cache: dict[complex, tuple[float, complex]] = {}
+    cache: dict[complex, tuple[complex, complex]] = {}
 
-    def node(z: complex) -> tuple[float, complex]:
+    def node(z: complex) -> tuple[complex, complex]:
         if z in cache:
             return cache[z]
         if z.real >= 0.5:
-            cache[z] = completed_zeta_phase_logderiv(z)
+            cache[z] = completed_zeta_log_logderiv(z)
             return cache[z]
         # zt(z) = conj zt(m) at the mirror image m across Re s = 1/2
         m = complex(1.0 - z.real, z.imag)
         if m not in cache:
             try:
-                cache[m] = completed_zeta_phase_logderiv(m)
+                cache[m] = completed_zeta_log_logderiv(m)
             except PoleError:
                 # Re m >= 1/2, so m is next to the pole at 1 and z next to 0
                 raise PoleError(0.0) from None
             except DomainError as exc:
                 raise DomainError(
-                    f"completed zeta has no phase or log-derivative at s = {z}"
+                    f"completed zeta has no log or log-derivative at s = {z}"
                 ) from exc
-        phase, logderiv = cache[m]
-        cache[z] = (-phase % (2 * math.pi), -logderiv.conjugate())
+        log_value, logderiv = cache[m]
+        cache[z] = (log_value.conjugate(), -logderiv.conjugate())
         return cache[z]
 
-    def g(z: complex) -> complex:
-        return node(z)[1]
-
-    def wrapped_step(za: complex, zb: complex) -> float:
-        return (node(zb)[0] - node(za)[0] + math.pi) % (2 * math.pi) - math.pi
-
     integral = 0j
-    for i in range(4):
-        za, zb = corners[i], corners[i + 1]
-        zm = 0.5 * (za + zb)
-        stack = [(za, zm, zb, g(za), g(zm), g(zb), 0)]
-        while stack:
-            za, zm, zb, ga, gm, gb, depth = stack.pop()
-            z1, z3 = 0.5 * (za + zm), 0.5 * (zm + zb)
-            g1, g3 = g(z1), g(z3)
-            coarse = (ga + 4 * gm + gb) * (zb - za) / 6
-            fine = (ga + 4 * g1 + 2 * gm + 4 * g3 + gb) * (zb - za) / 12
-            dphi = abs(wrapped_step(za, zb))
-            if dphi > math.pi / 4 or abs(fine - coarse) > QUADRATURE_TOLERANCE:
-                if depth >= QUADRATURE_MAX_DEPTH:
-                    if dphi > math.pi / 4:
-                        raise PhaseJumpError(
-                            f"phase step {dphi:.3f} > pi/4 near {zm} after refinement; "
-                            "boundary too close to a zero"
-                        )
-                else:
-                    stack.append((za, z1, zm, ga, g1, gm, depth + 1))
-                    stack.append((zm, z3, zb, gm, g3, gb, depth + 1))
-                    continue
-            if max(abs(wrapped_step(za, zm)), abs(wrapped_step(zm, zb))) > math.pi / 2:
-                raise PhaseJumpError(
-                    f"phase step > pi/2 near {zm} after refinement; boundary too close to a zero"
-                )
-            integral += fine
+    for za, zb in zip(corners, corners[1:]):
+        if za.real == zb.real and max(za.real, 1.0 - za.real) >= EXACT_EDGE_SIGMA:
+            integral += node(zb)[0] - node(za)[0]
+        else:
+            integral += _simpson_edge(node, za, zb)
     count = integral / (2j * math.pi)
     nearest = round(count.real)
     if abs(count.real - nearest) > 0.25 or abs(count.imag) > 0.25:

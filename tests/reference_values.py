@@ -43,6 +43,26 @@ LOGGAMMA_STRIP = (
     (complex(0.3, -250.0), complex(-392.88443523709164, -1130.0511568669267)),
     (complex(0.25, 500.0), complex(-786.03287685759917, 2606.9113709627317)),
 )
+# log Gamma(s/2) on the vertical lines Re s = 1.1, 1.25, 1.5, 1.75 out to
+# t = 1000, the branch continuous off the negative real axis: (s/2, log Gamma)
+LOGGAMMA_VERTICAL = (
+    (complex(0.55, 0.5), complex(0.070028901121163076, -0.68154248970890795)),
+    (complex(0.55, 20.0), complex(-30.347206547514715, 39.995206411846007)),
+    (complex(0.55, 150.0), complex(-234.44997881299238, 601.67410337591202)),
+    (complex(0.55, 500.0), complex(-784.16849446757253, 2607.3826698607876)),
+    (complex(0.625, 0.5), complex(0.010924611841940361, -0.58758056223081501)),
+    (complex(0.625, 20.0), complex(-30.122533680734590, 40.112687945417408)),
+    (complex(0.625, 150.0), complex(-234.07418129128332, 601.79186935026547)),
+    (complex(0.625, 500.0), complex(-783.70239887147213, 2607.5004664602930)),
+    (complex(0.75, 0.5), complex(-0.074102531408119961, -0.45297189501492412)),
+    (complex(0.75, 20.0), complex(-29.748074473193878, 40.307865405104349)),
+    (complex(0.75, 150.0), complex(-233.44785200973039, 601.98806264062654)),
+    (complex(0.75, 500.0), complex(-782.92557287088811, 2607.6967691261291)),
+    (complex(0.875, 0.5), complex(-0.14131673276008718, -0.34015998084397355)),
+    (complex(0.875, 20.0), complex(-29.373605495635581, 40.502261579180053)),
+    (complex(0.875, 150.0), complex(-232.82152255456496, 602.18415176423655)),
+    (complex(0.875, 500.0), complex(-782.14874685467908, 2607.8930405419630)),
+)
 
 ZETA_HALF = -1.4603545088095868
 ZETA_THREE = 1.2020569031595943

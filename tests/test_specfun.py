@@ -28,6 +28,7 @@ from reference_values import (
     GAMMA_NEAR_POLES,
     GAMMA_QUARTER,
     LOGGAMMA_STRIP,
+    LOGGAMMA_VERTICAL,
 )
 
 
@@ -65,6 +66,12 @@ class TestGamma:
         diff = loggamma(s) - log_value
         turns = round(diff.imag / (2 * math.pi))
         assert abs(diff - 2j * math.pi * turns) <= 1e-13 * abs(log_value)
+
+    @pytest.mark.parametrize("s, log_value", LOGGAMMA_VERTICAL)
+    def test_loggamma_is_the_continuous_branch_up_vertical_lines(self, s, log_value):
+        # no 2 pi turns removed: the rectangle count takes a vertical edge
+        # as a difference of these logs
+        assert abs(loggamma(s) - log_value) <= 1e-12 * max(1.0, abs(log_value))
 
     def test_near_pole_large_value_is_not_an_error(self):
         # 1e-9 away from the pole is outside the 1e-12 detection window

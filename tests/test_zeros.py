@@ -1,10 +1,12 @@
 import gc
 import json
+import math
 
 import pytest
 
 from zetasphere import zeros
 from zetasphere.errors import DomainError, NoSignChange, PhaseJumpError, PoleError
+from zetasphere.zeta import completed_zeta_log_logderiv, zeta_eval
 from zetasphere.zeros import (
     Rectangle,
     ZeroRecord,
@@ -153,35 +155,71 @@ class TestRectangleCount:
 
     def test_left_nodes_come_from_their_mirror_images(self, monkeypatch):
         calls = []
-        evaluate = zeros.completed_zeta_phase_logderiv
+        evaluate = zeros.completed_zeta_log_logderiv
         monkeypatch.setattr(
-            zeros, "completed_zeta_phase_logderiv", lambda s: calls.append(s) or evaluate(s)
+            zeros, "completed_zeta_log_logderiv", lambda s: calls.append(s) or evaluate(s)
         )
         assert count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, 30.0)) == 3
         assert all(s.real >= 0.5 for s in calls)
         assert len(set(calls)) == len(calls)
-        # the quadrature visits 392 contour nodes here, 2 of them on the line
-        assert len(calls) <= (392 + 2) // 2
+        # the quadrature visits 66 contour nodes here, all on the horizontal
+        # edges and 2 of them on the line
+        assert len(calls) <= (66 + 2) // 2
 
-    def test_count_to_100_takes_at_most_900_evaluations(self, monkeypatch):
-        # Simpson's rule over quarter points makes 865 calls here
+    def test_count_to_100_takes_at_most_40_evaluations(self, monkeypatch):
+        # the vertical edges are exact, so only the horizontal edges take
+        # quadrature nodes: 22 calls here
         calls = []
-        evaluate = zeros.completed_zeta_phase_logderiv
+        evaluate = zeros.completed_zeta_log_logderiv
         monkeypatch.setattr(
-            zeros, "completed_zeta_phase_logderiv", lambda s: calls.append(s) or evaluate(s)
+            zeros, "completed_zeta_log_logderiv", lambda s: calls.append(s) or evaluate(s)
         )
         assert count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, 100.0)) == ZEROS_BELOW_100
-        assert len(calls) <= 900
+        assert len(calls) <= 40
+        assert {s.imag for s in calls} == {1.0, 100.0}
+
+    def test_exact_edges_lie_where_arg_zeta_stays_below_pi(self):
+        # |arg zeta(s)| <= log zeta(Re s), and the continuous log of the
+        # completed zeta is its principal log only while that is below pi
+        assert math.log(zeta_eval(zeros.EXACT_EDGE_SIGMA).real) < math.pi
+
+    @pytest.mark.parametrize("x", [1.5, -0.25])
+    def test_exact_edge_equals_its_quadrature(self, x, monkeypatch):
+        # at the default tolerance the quadrature itself is off by ~2e-4 here
+        monkeypatch.setattr(zeros, "QUADRATURE_TOLERANCE", 1e-8)
+        za, zb = complex(x, 1.0), complex(x, 100.0)
+        exact = completed_zeta_log_logderiv(zb)[0] - completed_zeta_log_logderiv(za)[0]
+        quadrature = zeros._simpson_edge(completed_zeta_log_logderiv, za, zb)
+        assert abs(exact - quadrature) <= 1e-6
+
+    def test_edge_whose_quarter_steps_pass_the_guard_is_still_split(self, monkeypatch):
+        # the top edge of a rectangle-workload input (seed 1410): the quarter
+        # steps of its first segment all pass pi/4 and Simpson agrees with
+        # the composite rule by chance, 1e-3 off; the end-to-end phase step
+        # is what splits it
+        y = 230.28102574805342
+        za, zb = complex(1.5, y), complex(-0.5, y)
+        default = zeros._simpson_edge(completed_zeta_log_logderiv, za, zb)
+        monkeypatch.setattr(zeros, "QUADRATURE_TOLERANCE", 1e-9)
+        tight = zeros._simpson_edge(completed_zeta_log_logderiv, za, zb)
+        assert abs(default - tight) <= 1e-5
+
+    @pytest.mark.parametrize("x_max", [20.0, 30.0, 50.0, 200.0])
+    def test_wide_rectangle_to_100(self, x_max):
+        # the nearest zero is 1.17 from these contours; an end-to-end phase
+        # step over a long segment once aliased a winding near 2 pi and
+        # raised PhaseJumpError
+        assert count_zeros_rectangle(Rectangle(-0.5, x_max, 1.0, 100.0)) == ZEROS_BELOW_100
 
     def test_zero_at_a_mirror_node_names_the_contour_point(self, monkeypatch):
-        evaluate = zeros.completed_zeta_phase_logderiv
+        evaluate = zeros.completed_zeta_log_logderiv
 
         def zero_right_edge(s):
             if s.real == 1.5:
                 raise DomainError(f"completed zeta is 0 at s = {s}")
             return evaluate(s)
 
-        monkeypatch.setattr(zeros, "completed_zeta_phase_logderiv", zero_right_edge)
+        monkeypatch.setattr(zeros, "completed_zeta_log_logderiv", zero_right_edge)
         with pytest.raises(DomainError, match=r"s = \(-0\.5\+"):
             count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, 30.0))
 

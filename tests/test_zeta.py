@@ -15,7 +15,7 @@ from zetasphere.zeta import (
     _power_table,
     _powers,
     completed_zeta,
-    completed_zeta_phase_logderiv,
+    completed_zeta_log_logderiv,
     eta_eval,
     f_factor,
     euler_product_partial,
@@ -318,45 +318,48 @@ class TestCompletedZeta:
 class TestCompletedPhaseLogDerivative:
     @pytest.mark.parametrize("s, ref", COMPLETED_LOGDERIV)
     def test_log_derivative_matches_mpmath(self, s, ref):
-        _, logderiv = completed_zeta_phase_logderiv(s)
+        _, logderiv = completed_zeta_log_logderiv(s)
         assert abs(logderiv - ref) <= 1e-12 * abs(ref)
 
     def test_mirror_image_is_the_conjugate(self):
-        # Lambda(s) = conj Lambda(1 - conj s), so the phase negates and
+        # Lambda(s) = conj Lambda(1 - conj s), so the log conjugates and
         # Lambda'/Lambda(s) = -conj Lambda'/Lambda(1 - conj s)
         rng = random.Random(20130)
         for _ in range(60):
             s = complex(rng.uniform(-1.5, 2.5), rng.uniform(1.0, 1000.0))
-            phase, logderiv = completed_zeta_phase_logderiv(s)
-            m_phase, m_logderiv = completed_zeta_phase_logderiv(1 - s.conjugate())
-            step = (m_phase + phase + math.pi) % (2 * math.pi) - math.pi
+            log_value, logderiv = completed_zeta_log_logderiv(s)
+            m_log, m_logderiv = completed_zeta_log_logderiv(1 - s.conjugate())
+            step = (m_log.imag + log_value.imag + math.pi) % (2 * math.pi) - math.pi
             assert abs(step) <= 1e-12
+            assert abs(m_log.real - log_value.real) <= 1e-12 * max(1.0, abs(log_value.real))
             assert abs(m_logderiv + logderiv.conjugate()) <= 1e-12 * abs(logderiv)
 
     def test_phase_matches_completed_zeta(self):
         # wherever completed_zeta is a normal double; both sides of the line
-        # and inside the eta-denominator window
+        # and inside the eta-denominator window.  The phase is compared
+        # modulo 2 pi: the log's imaginary part is not reduced
         points = [complex(x, t) for x in (-1.5, -0.5, 0.2, 0.5, 0.9, 1.5, 3.0) for t in (2.0, 14.0, 37.3, 99.0)]
         points += [complex(1.0, ETA_DENOM_ZERO_IM), complex(0.004, ETA_DENOM_ZERO_IM)]
         for s in points:
-            phase, _ = completed_zeta_phase_logderiv(s)
-            assert 0.0 <= phase <= 2 * math.pi
-            step = (phase - cmath.phase(completed_zeta(s)) + math.pi) % (2 * math.pi) - math.pi
+            log_value, _ = completed_zeta_log_logderiv(s)
+            value = completed_zeta(s)
+            step = (log_value.imag - cmath.phase(value) + math.pi) % (2 * math.pi) - math.pi
             assert abs(step) <= 1e-12
+            assert abs(log_value.real - math.log(abs(value))) <= 1e-12 * max(1.0, abs(log_value.real))
 
     def test_reaches_past_underflow(self):
-        # completed_zeta is exactly 0 here; its phase and log-derivative are not
+        # completed_zeta is exactly 0 here; its log and log-derivative are not
         s = complex(0.5, 960.0)
         assert completed_zeta(s) == 0
-        phase, logderiv = completed_zeta_phase_logderiv(s)
-        assert math.isfinite(phase) and cmath.isfinite(logderiv)
+        log_value, logderiv = completed_zeta_log_logderiv(s)
+        assert cmath.isfinite(log_value) and cmath.isfinite(logderiv)
 
     def test_poles_and_non_finite(self):
         for s in (0j, 1 + 0j):
             with pytest.raises(PoleError):
-                completed_zeta_phase_logderiv(s)
+                completed_zeta_log_logderiv(s)
         with pytest.raises(DomainError):
-            completed_zeta_phase_logderiv(complex(math.nan, 5.0))
+            completed_zeta_log_logderiv(complex(math.nan, 5.0))
 
 
 class TestEvenZetaRational:

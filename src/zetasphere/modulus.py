@@ -116,6 +116,11 @@ def criterion_ratio(s0: complex, radius: float) -> float:
     (Schwarz reflection) at mirror + radius U[(4 - j) % 8], mirror =
     1 - conj s0.  On the line mirror == s0, so the two circles are one and
     the ratio costs 8 zeta evaluations, not 16.
+
+    Near the line the ratio is the mean of |f(s)| (samples left of it) and
+    1/|f(1 - conj s)| (right of it) by construction: zeta_eval takes Re s <
+    1/2 as f(s) zeta(1 - s), so zeta cancels.  It shows |f| = 1 there, not
+    that zeta vanishes.
     """
     s0 = complex(s0)
     _require_strip(s0, "criterion_ratio")

@@ -7,18 +7,13 @@ log2(0.25 / 1e-9) = 28 halvings, 28 kernel evaluations, since its two ends
 come from the grid (30 for a bracket refined on its own).
 
 An independent count of zeros inside a rectangle comes from the winding of
-the completed zeta along the boundary.  A vertical edge at Re s >= 1.1 (or
-its mirror, Re s <= -0.1) is exact: there |arg zeta| < pi, the principal
-log Lambda is continuous along the edge (Backlund), and the edge's integral
-of Lambda'/Lambda is log Lambda(top) - log Lambda(bottom), read at corners
-the horizontal edges evaluate anyway.  The other edges take adaptive
-Simpson quadrature of the log-derivative, phase-step guarded, which halves
-a segment until Simpson's rule on it and the composite rule over its
-quarter points agree.  The log and log-derivative are analytic and taken in
-log space, so neither underflows and the count reaches t = 1000.  A node
-left of the critical line is the conjugate of its mirror image across
-Re s = 1/2, so a contour symmetric about the line costs one eta sum per
-mirror pair of nodes.
+the completed zeta along the boundary.  Its Gamma factor's part is exact, and
+so is log zeta's on Re s >= 1.1, where |arg zeta| < pi makes the principal
+log continuous (Backlund).  Only zeta'/zeta on 1/2 <= Re s < 1.1, and the
+mirror images of those pieces, take adaptive Simpson quadrature, phase-step
+guarded, which halves a segment until Simpson's rule on it and the composite
+rule over its quarter points agree.  Nothing is formed that underflows, so
+the count reaches t = 1000.
 """
 
 from __future__ import annotations
@@ -37,11 +32,12 @@ from .errors import (
     RealnessViolation,
 )
 from .modulus import criterion_ratio
+from .specfun import POLE_WINDOW
 from .zeta import (
     completed_log_prefactor,
     completed_zeta,
-    completed_zeta_log_logderiv,
     zeta_eval,
+    zeta_log_logderiv,
 )
 
 BRACKET_TOLERANCE = 1e-9
@@ -231,18 +227,14 @@ def _simpson_edge(node, za: complex, zb: complex) -> complex:
 def count_zeros_rectangle(rect: Rectangle) -> int:
     """Winding number (1/2 pi i) contour integral of zt'/zt around rect.
 
-    A vertical edge at abscissa x with max(x, 1 - x) >= EXACT_EDGE_SIGMA
-    contributes exactly log zt(top) - log zt(bottom): there the log of
-    ``completed_zeta_log_logderiv`` is continuous along the line (Backlund),
-    and both corners are nodes of the horizontal edges, so the edge costs
-    nothing.  Every other edge, the horizontals and a vertical edge inside
-    the strip, is integrated by ``_simpson_edge``.  The log and the
-    log-derivative zt'/zt are taken analytically, in log space, so the count
-    works out to t = 1000, where zt itself underflows.
-    Since zt(s) = conj zt(1 - conj s), a node z left of Re s = 1/2 takes
-    (conj log zt, -conj(zt'/zt)) of its mirror image 1 - conj z, and a
-    contour symmetric about the line costs one eta sum per mirror pair of
-    nodes; the cache lives for one call.
+    zt = P zeta, P(s) = pi^(-s/2) Gamma(s/2).  Each edge is cut at Re s = 1/2
+    and 1 -+ EXACT_EDGE_SIGMA, and a piece left of the line is the conjugate
+    of its mirror piece (zt(s) = conj zt(1 - conj s)), whose nodes it shares.
+    A piece's zeta part is log zeta(end) - log zeta(start) on
+    Re s >= EXACT_EDGE_SIGMA, else ``_simpson_edge`` of zeta'/zeta.  Its P
+    parts telescope, log P being continuous on Re s > 0, to the jumps between
+    conj log P and log P where the contour enters and leaves Re s >= 1/2:
+    2i (theta(y_max) - theta(y_min)) with theta(t) = Im log P(1/2 + it).
     """
     corners = [
         complex(rect.x_min, rect.y_min),
@@ -251,36 +243,44 @@ def count_zeros_rectangle(rect: Rectangle) -> int:
         complex(rect.x_min, rect.y_max),
         complex(rect.x_min, rect.y_min),
     ]
+    # only the bottom edge passes the poles; a node next to 1 mirrors one next to 0
+    for pole in (0.0, 1.0):
+        if abs(complex(min(max(pole, rect.x_min), rect.x_max), rect.y_min) - pole) < POLE_WINDOW:
+            raise PoleError(pole)
     cache: dict[complex, tuple[complex, complex]] = {}
 
-    def node(z: complex) -> tuple[complex, complex]:
-        if z in cache:
-            return cache[z]
-        if z.real >= 0.5:
-            cache[z] = completed_zeta_log_logderiv(z)
-            return cache[z]
-        # zt(z) = conj zt(m) at the mirror image m across Re s = 1/2
-        m = complex(1.0 - z.real, z.imag)
-        if m not in cache:
+    def node(w: complex, mirrored: bool) -> tuple[complex, complex]:
+        if w not in cache:
             try:
-                cache[m] = completed_zeta_log_logderiv(m)
-            except PoleError:
-                # Re m >= 1/2, so m is next to the pole at 1 and z next to 0
-                raise PoleError(0.0) from None
+                cache[w] = zeta_log_logderiv(w)
             except DomainError as exc:
-                raise DomainError(
-                    f"completed zeta has no log or log-derivative at s = {z}"
-                ) from exc
-        log_value, logderiv = cache[m]
-        cache[z] = (log_value.conjugate(), -logderiv.conjugate())
-        return cache[z]
+                z = 1 - w.conjugate() if mirrored else w
+                raise DomainError(f"completed zeta has no log or log-derivative at s = {z}") from exc
+        return cache[w]
 
     integral = 0j
+    # 1 - (1 - EXACT_EDGE_SIGMA) == EXACT_EDGE_SIGMA, so mirrored cuts coincide
+    cut_abscissas = (1 - EXACT_EDGE_SIGMA, 0.5, EXACT_EDGE_SIGMA)
     for za, zb in zip(corners, corners[1:]):
-        if za.real == zb.real and max(za.real, 1.0 - za.real) >= EXACT_EDGE_SIGMA:
-            integral += node(zb)[0] - node(za)[0]
-        else:
-            integral += _simpson_edge(node, za, zb)
+        cuts = [x for x in cut_abscissas if (za.real - x) * (zb.real - x) < 0]
+        cuts = cuts if za.real < zb.real else cuts[::-1]
+        points = [za, *(complex(x, za.imag) for x in cuts), zb]
+        for wa, wb in zip(points, points[1:]):
+            mirrored = wa.real + wb.real < 1.0
+            if mirrored:
+                wa, wb = 1 - wa.conjugate(), 1 - wb.conjugate()
+            if min(wa.real, wb.real) >= EXACT_EDGE_SIGMA:
+                piece = node(wb, mirrored)[0] - node(wa, mirrored)[0]
+            else:
+                piece = _simpson_edge(lambda w: node(w, mirrored), wa, wb)
+            integral += piece.conjugate() if mirrored else piece
+    # the contour enters and leaves Re s >= 1/2 on the horizontal edges; a
+    # vertical edge on the line is a right piece
+    if rect.x_min < 0.5 <= rect.x_max:
+        theta_min, theta_max = (
+            completed_log_prefactor(complex(0.5, y)).imag for y in (rect.y_min, rect.y_max)
+        )
+        integral += 2j * (theta_max - theta_min)
     count = integral / (2j * math.pi)
     nearest = round(count.real)
     if abs(count.real - nearest) > 0.25 or abs(count.imag) > 0.25:

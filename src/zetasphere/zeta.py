@@ -31,7 +31,6 @@ from .specfun import (
     POLE_WINDOW,
     _LNPI,
     _logsin_pi,
-    digamma,
     exp_in_range,
     finite_argument,
     gamma,
@@ -343,32 +342,24 @@ def completed_zeta(s: complex) -> complex:
     return exp_in_range(completed_log_prefactor(w), "completed zeta", s, zeta_eval(w))
 
 
-def completed_zeta_log_logderiv(s: complex) -> tuple[complex, complex]:
-    """(log Lambda(s), Lambda'(s)/Lambda(s)) for the completed zeta
-    Lambda(s) = pi^(-s/2) Gamma(s/2) zeta(s), without forming Lambda.
+def zeta_log_logderiv(s: complex) -> tuple[complex, complex]:
+    """(log zeta(s), zeta'(s)/zeta(s)) for Re s >= 1/2, both from one eta
+    sum (or one Euler-Maclaurin sum next to the eta-denominator zeros).
 
-    Lambda(s) = Lambda(1-s), so both come from w = s or 1 - s, whichever has
-    Re w >= 1/2: log Lambda(s) = log(pi^(-w/2) Gamma(w/2)) + log zeta(w),
-    with the principal log of zeta(w) and no reduction of the imaginary part
-    mod 2 pi, and Lambda'/Lambda(s) = +-(psi(w/2)/2 - ln(pi)/2 +
-    zeta'(w)/zeta(w)).  zeta(w) and zeta'(w) come from one eta sum (or one
-    Euler-Maclaurin sum next to the eta-denominator zeros).  On Re w >= 1.1,
-    where |arg zeta(w)| <= log zeta(Re w) < pi, this is the branch continuous
-    along every vertical line.  Neither value underflows where Lambda itself
-    does, past |Im s| ~ 945.  PoleError at 0 and 1; DomainError where
-    zeta(w) is exactly 0.
+    The log is principal.  On Re s >= 1.1, where |arg zeta(s)| <=
+    log zeta(Re s) < pi, that is the branch continuous over the whole
+    half-plane (Backlund).  PoleError at 1; DomainError left of Re s = 1/2
+    and where zeta(s) is exactly 0.
     """
-    s = finite_argument(s, "completed zeta")
-    reflected = s.real < 0.5
-    w = 1 - s if reflected else s
-    if abs(w - 1) < POLE_WINDOW:
-        raise PoleError(0.0 if reflected else 1.0)
-    value, derivative = _zeta_right_half(w, derivative=True)
+    s = finite_argument(s, "zeta")
+    if s.real < 0.5:
+        raise DomainError(f"zeta_log_logderiv needs Re s >= 1/2, got {s}")
+    if abs(s - 1) < POLE_WINDOW:
+        raise PoleError(1.0)
+    value, derivative = _zeta_right_half(s, derivative=True)
     if value == 0:
-        raise DomainError(f"completed zeta is 0 at s = {s}; it has no log or log-derivative")
-    log_value = completed_log_prefactor(w) + cmath.log(value)
-    logderiv = 0.5 * digamma(w / 2) - 0.5 * _LNPI + derivative / value
-    return log_value, -logderiv if reflected else logderiv
+        raise DomainError(f"zeta is 0 at s = {s}; it has no log or log-derivative")
+    return cmath.log(value), derivative / value
 
 
 # ---------------------------------------------------------------------------

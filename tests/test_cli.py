@@ -200,6 +200,18 @@ class TestVerify:
         flag = computed["paper-claim/stieltjes limit prefactor (gamma_1 sign)"]
         assert flag == computed["zeta/stieltjes gamma_1 extraction"]
 
+    def test_functional_equation_item_sees_an_error_in_zeta(self, monkeypatch):
+        # zeta_eval off by 1e-6 on Re s >= 1/2, and so by f(s) zeta(1 - s)
+        # left of the line too: a residual taken from zeta_eval on both
+        # sides would cancel it
+        from zetasphere import report, verify, zeta
+
+        verify.run_suite("functional")  # fills the Stieltjes samples with true values
+        right_half = zeta._zeta_right_half
+        monkeypatch.setattr(zeta, "_zeta_right_half", lambda s: (1 + 1e-6) * right_half(s))
+        status = {item.name: item.status for item in verify.run_suite("functional").items}
+        assert status["functional/eq4 max rel residual (200-pt strip grid)"] == report.FAIL
+
 
 class TestExtend:
     def test_default_summary(self):

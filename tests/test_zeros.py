@@ -6,7 +6,8 @@ import pytest
 
 from zetasphere import zeros
 from zetasphere.errors import DomainError, NoSignChange, PhaseJumpError, PoleError
-from zetasphere.zeta import completed_zeta_log_logderiv, zeta_eval
+from zetasphere.specfun import _LNPI, digamma
+from zetasphere.zeta import completed_log_prefactor, zeta_eval, zeta_log_logderiv
 from zetasphere.zeros import (
     Rectangle,
     ZeroRecord,
@@ -132,6 +133,12 @@ class TestRectangleCount:
     def test_half_rectangle_excluding_line(self):
         assert count_zeros_rectangle(Rectangle(0.6, 1.4, 10.0, 30.0)) == 0
 
+    @pytest.mark.parametrize("x_min, x_max", [(-0.5, 0.5), (0.5, 1.5)])
+    def test_edge_on_the_line(self, x_min, x_max):
+        # the edge on the line is a right piece either way, so the contour
+        # enters and leaves Re s >= 1/2 only in the first case
+        assert count_zeros_rectangle(Rectangle(x_min, x_max, 15.0, 20.0)) == 0
+
     def test_count_matches_scan(self):
         for t_max in (10.0, 30.0):
             scan_count = len(scan_zeros(1.0, t_max, 0.25))
@@ -150,58 +157,78 @@ class TestRectangleCount:
         assert len(scan_zeros(440.2, 470.3, 0.25)) == count_zeros_rectangle(rect) == 20
 
     def test_asymmetric_rectangle_to_100(self):
-        # -0.25 and 1.75 are not mirror images, so few nodes are shared
+        # -0.25 and 1.75 are not mirror images; only the strip pieces of the
+        # horizontal edges share their nodes
         assert count_zeros_rectangle(Rectangle(-0.25, 1.75, 1.0, 100.0)) == ZEROS_BELOW_100
 
     def test_left_nodes_come_from_their_mirror_images(self, monkeypatch):
-        calls = []
-        evaluate = zeros.completed_zeta_log_logderiv
-        monkeypatch.setattr(
-            zeros, "completed_zeta_log_logderiv", lambda s: calls.append(s) or evaluate(s)
-        )
+        calls = _count_evaluations(monkeypatch)
         assert count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, 30.0)) == 3
         assert all(s.real >= 0.5 for s in calls)
         assert len(set(calls)) == len(calls)
-        # the quadrature visits 66 contour nodes here, all on the horizontal
+        # the count visits 54 contour nodes here, all on the horizontal
         # edges and 2 of them on the line
-        assert len(calls) <= (66 + 2) // 2
+        assert len(calls) <= (54 + 2) // 2
 
-    def test_count_to_100_takes_at_most_40_evaluations(self, monkeypatch):
+    def test_count_to_100_takes_at_most_20_evaluations(self, monkeypatch):
         # the vertical edges are exact, so only the horizontal edges take
-        # quadrature nodes: 22 calls here
-        calls = []
-        evaluate = zeros.completed_zeta_log_logderiv
-        monkeypatch.setattr(
-            zeros, "completed_zeta_log_logderiv", lambda s: calls.append(s) or evaluate(s)
-        )
+        # nodes: the quadrature's on 1/2 <= Re s < 1.1 and the exact
+        # pieces' ends at 1.1 and 1.5
+        calls = _count_evaluations(monkeypatch)
         assert count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, 100.0)) == ZEROS_BELOW_100
-        assert len(calls) <= 40
+        assert len(calls) <= 20
         assert {s.imag for s in calls} == {1.0, 100.0}
+
+    def test_asymmetric_contour_shares_its_strip_nodes(self, monkeypatch):
+        # the left pieces' quadrature runs on the nodes of the right pieces;
+        # only the ends of the exact pieces at 1.25 and 1.75 are extra
+        calls = _count_evaluations(monkeypatch)
+        assert count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, 100.0)) == ZEROS_BELOW_100
+        symmetric = len(calls)
+        calls.clear()
+        assert count_zeros_rectangle(Rectangle(-0.25, 1.75, 1.0, 100.0)) == ZEROS_BELOW_100
+        assert len(calls) <= symmetric + 4
 
     def test_exact_edges_lie_where_arg_zeta_stays_below_pi(self):
         # |arg zeta(s)| <= log zeta(Re s), and the continuous log of the
         # completed zeta is its principal log only while that is below pi
         assert math.log(zeta_eval(zeros.EXACT_EDGE_SIGMA).real) < math.pi
 
-    @pytest.mark.parametrize("x", [1.5, -0.25])
+    @pytest.mark.parametrize("x", [1.5, -0.25, zeros.EXACT_EDGE_SIGMA])
     def test_exact_edge_equals_its_quadrature(self, x, monkeypatch):
-        # at the default tolerance the quadrature itself is off by ~2e-4 here
+        # an edge left of the line is taken at its mirror image; at the
+        # default tolerance the quadrature itself is off by up to ~2e-4 here
+        x = max(x, 1 - x)
         monkeypatch.setattr(zeros, "QUADRATURE_TOLERANCE", 1e-8)
         za, zb = complex(x, 1.0), complex(x, 100.0)
-        exact = completed_zeta_log_logderiv(zb)[0] - completed_zeta_log_logderiv(za)[0]
-        quadrature = zeros._simpson_edge(completed_zeta_log_logderiv, za, zb)
+        exact = zeta_log_logderiv(zb)[0] - zeta_log_logderiv(za)[0]
+        quadrature = zeros._simpson_edge(zeta_log_logderiv, za, zb)
         assert abs(exact - quadrature) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "za, zb",
+        [(complex(0.5, y), complex(zeros.EXACT_EDGE_SIGMA, y)) for y in (1.0, 14.0, 230.28102574805342, 500.0, 999.9)]
+        + [(complex(0.5, 1.0), complex(0.5, 999.9)), (complex(1.5, 900.0), complex(1.5, 999.9))],
+    )
+    def test_gamma_factor_change_is_exact(self, za, zb, monkeypatch):
+        # log P, P(s) = pi^(-s/2) Gamma(s/2), is continuous on Re s > 0, so
+        # its change along a piece is the integral of P'/P = psi(s/2)/2 -
+        # ln(pi)/2; up the line that change is theta(999.9) - theta(1)
+        def gamma_factor(w):
+            return completed_log_prefactor(w), 0.5 * digamma(w / 2) - 0.5 * _LNPI
+
+        monkeypatch.setattr(zeros, "QUADRATURE_TOLERANCE", 1e-12)
+        exact = completed_log_prefactor(zb) - completed_log_prefactor(za)
+        assert abs(exact - zeros._simpson_edge(gamma_factor, za, zb)) <= 1e-8
+
     def test_edge_whose_quarter_steps_pass_the_guard_is_still_split(self, monkeypatch):
-        # the top edge of a rectangle-workload input (seed 1410): the quarter
-        # steps of its first segment all pass pi/4 and Simpson agrees with
-        # the composite rule by chance, 1e-3 off; the end-to-end phase step
-        # is what splits it
+        # the strip piece of the top edge of a rectangle-workload input
+        # (seed 1410), at the default tolerance against a tight one
         y = 230.28102574805342
-        za, zb = complex(1.5, y), complex(-0.5, y)
-        default = zeros._simpson_edge(completed_zeta_log_logderiv, za, zb)
+        za, zb = complex(zeros.EXACT_EDGE_SIGMA, y), complex(0.5, y)
+        default = zeros._simpson_edge(zeta_log_logderiv, za, zb)
         monkeypatch.setattr(zeros, "QUADRATURE_TOLERANCE", 1e-9)
-        tight = zeros._simpson_edge(completed_zeta_log_logderiv, za, zb)
+        tight = zeros._simpson_edge(zeta_log_logderiv, za, zb)
         assert abs(default - tight) <= 1e-5
 
     @pytest.mark.parametrize("x_max", [20.0, 30.0, 50.0, 200.0])
@@ -212,14 +239,14 @@ class TestRectangleCount:
         assert count_zeros_rectangle(Rectangle(-0.5, x_max, 1.0, 100.0)) == ZEROS_BELOW_100
 
     def test_zero_at_a_mirror_node_names_the_contour_point(self, monkeypatch):
-        evaluate = zeros.completed_zeta_log_logderiv
+        evaluate = zeros.zeta_log_logderiv
 
         def zero_right_edge(s):
             if s.real == 1.5:
-                raise DomainError(f"completed zeta is 0 at s = {s}")
+                raise DomainError(f"zeta is 0 at s = {s}")
             return evaluate(s)
 
-        monkeypatch.setattr(zeros, "completed_zeta_log_logderiv", zero_right_edge)
+        monkeypatch.setattr(zeros, "zeta_log_logderiv", zero_right_edge)
         with pytest.raises(DomainError, match=r"s = \(-0\.5\+"):
             count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, 30.0))
 
@@ -229,6 +256,13 @@ class TestRectangleCount:
         with pytest.raises(PoleError) as info:
             count_zeros_rectangle(Rectangle(-0.25, 0.25, 1e-13, 1.0))
         assert info.value.point == 0.0
+
+    @pytest.mark.parametrize("x_min, x_max, pole", [(-0.3, 0.25, 0.0), (0.3, 1.3, 1.0)])
+    def test_bottom_edge_next_to_a_pole_names_it(self, x_min, x_max, pole):
+        # no node of these contours lands within 1e-12 of the pole
+        with pytest.raises(PoleError) as info:
+            count_zeros_rectangle(Rectangle(x_min, x_max, 1e-13, 1.0))
+        assert info.value.point == pole
 
     def test_count_leaves_no_reference_cycles(self):
         # a node cache kept alive by a cycle would outlive the call until a
@@ -277,6 +311,14 @@ class TestRectangleCount:
         # 0 + 2 pi i / ln 2, where the eta sum and its denominator both vanish
         rect = Rectangle(-0.5, 1.5, ETA_DENOM_ZERO_IM, 30.0)
         assert len(scan_zeros(ETA_DENOM_ZERO_IM, 30.0, 0.25)) == count_zeros_rectangle(rect) == 3
+
+
+def _count_evaluations(monkeypatch):
+    """The arguments of every node evaluation the rectangle count makes."""
+    calls = []
+    evaluate = zeros.zeta_log_logderiv
+    monkeypatch.setattr(zeros, "zeta_log_logderiv", lambda s: calls.append(s) or evaluate(s))
+    return calls
 
 
 def _csv_ordinates(text):

@@ -8,14 +8,14 @@ import pytest
 
 from zetasphere import zeta
 from zetasphere.errors import ConvergenceError, DomainError, PoleError, ZetasphereError
-from zetasphere.specfun import gamma
+from zetasphere.specfun import _LNPI, digamma, gamma
 from zetasphere.zeta import (
     _SPLIT_MIN_TERMS,
     _eta_terms,
     _power_table,
     _powers,
+    completed_log_prefactor,
     completed_zeta,
-    completed_zeta_log_logderiv,
     eta_eval,
     f_factor,
     euler_product_partial,
@@ -25,6 +25,7 @@ from zetasphere.zeta import (
     laurent_eval,
     stieltjes_gamma,
     zeta_eval,
+    zeta_log_logderiv,
 )
 
 from reference_values import (
@@ -315,24 +316,31 @@ class TestCompletedZeta:
                 completed_zeta(x)
 
 
+def _completed_log_logderiv(s):
+    """(log Lambda(s), Lambda'/Lambda(s)) from w = s or 1 - s, whichever has
+    Re w >= 1/2, as the rectangle count takes them: Lambda(s) = Lambda(1 - s)."""
+    w = 1 - s if s.real < 0.5 else s
+    log_zeta, zeta_logderiv = zeta_log_logderiv(w)
+    logderiv = 0.5 * digamma(w / 2) - 0.5 * _LNPI + zeta_logderiv
+    return completed_log_prefactor(w) + log_zeta, -logderiv if w != s else logderiv
+
+
 class TestCompletedPhaseLogDerivative:
     @pytest.mark.parametrize("s, ref", COMPLETED_LOGDERIV)
     def test_log_derivative_matches_mpmath(self, s, ref):
-        _, logderiv = completed_zeta_log_logderiv(s)
+        _, logderiv = _completed_log_logderiv(s)
         assert abs(logderiv - ref) <= 1e-12 * abs(ref)
 
     def test_mirror_image_is_the_conjugate(self):
-        # Lambda(s) = conj Lambda(1 - conj s), so the log conjugates and
-        # Lambda'/Lambda(s) = -conj Lambda'/Lambda(1 - conj s)
+        # Lambda(s) = conj Lambda(1 - conj s): the count takes a node left of
+        # the line from its mirror image
         rng = random.Random(20130)
         for _ in range(60):
-            s = complex(rng.uniform(-1.5, 2.5), rng.uniform(1.0, 1000.0))
-            log_value, logderiv = completed_zeta_log_logderiv(s)
-            m_log, m_logderiv = completed_zeta_log_logderiv(1 - s.conjugate())
-            step = (m_log.imag + log_value.imag + math.pi) % (2 * math.pi) - math.pi
-            assert abs(step) <= 1e-12
-            assert abs(m_log.real - log_value.real) <= 1e-12 * max(1.0, abs(log_value.real))
-            assert abs(m_logderiv + logderiv.conjugate()) <= 1e-12 * abs(logderiv)
+            s = complex(rng.uniform(-1.5, 0.49), rng.uniform(1.0, 400.0))
+            m = 1 - s.conjugate()
+            mirrored = cmath.exp(completed_log_prefactor(m) + zeta_log_logderiv(m)[0]).conjugate()
+            value = completed_zeta(s)
+            assert abs(mirrored - value) <= 1e-12 * abs(value)
 
     def test_phase_matches_completed_zeta(self):
         # wherever completed_zeta is a normal double; both sides of the line
@@ -341,7 +349,7 @@ class TestCompletedPhaseLogDerivative:
         points = [complex(x, t) for x in (-1.5, -0.5, 0.2, 0.5, 0.9, 1.5, 3.0) for t in (2.0, 14.0, 37.3, 99.0)]
         points += [complex(1.0, ETA_DENOM_ZERO_IM), complex(0.004, ETA_DENOM_ZERO_IM)]
         for s in points:
-            log_value, _ = completed_zeta_log_logderiv(s)
+            log_value, _ = _completed_log_logderiv(s)
             value = completed_zeta(s)
             step = (log_value.imag - cmath.phase(value) + math.pi) % (2 * math.pi) - math.pi
             assert abs(step) <= 1e-12
@@ -351,15 +359,20 @@ class TestCompletedPhaseLogDerivative:
         # completed_zeta is exactly 0 here; its log and log-derivative are not
         s = complex(0.5, 960.0)
         assert completed_zeta(s) == 0
-        log_value, logderiv = completed_zeta_log_logderiv(s)
+        log_value, logderiv = _completed_log_logderiv(s)
         assert cmath.isfinite(log_value) and cmath.isfinite(logderiv)
 
     def test_poles_and_non_finite(self):
-        for s in (0j, 1 + 0j):
-            with pytest.raises(PoleError):
-                completed_zeta_log_logderiv(s)
-        with pytest.raises(DomainError):
-            completed_zeta_log_logderiv(complex(math.nan, 5.0))
+        with pytest.raises(PoleError):
+            zeta_log_logderiv(1 + 0j)
+        for s in (complex(math.nan, 5.0), complex(0.49, 5.0)):
+            with pytest.raises(DomainError):
+                zeta_log_logderiv(s)
+
+    def test_log_is_principal(self):
+        # the count's exact pieces need the principal log on Re s >= 1.1
+        for s in (complex(1.1, 7.0), complex(0.6, 300.0), complex(2.0, -999.0)):
+            assert zeta_log_logderiv(s)[0] == cmath.log(zeta_eval(s))
 
 
 class TestEvenZetaRational:

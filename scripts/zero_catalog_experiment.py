@@ -45,7 +45,7 @@ def main():
     print("sector-map CR residuals |du/dx - dv/dy| (nonzero everywhere = not holomorphic):")
     for k in range(min(4, len(ords) - 1)):
         mid = complex(0.5, 0.5 * (ords[k] + ords[k + 1]))
-        r1, r2 = cr_residual(sm, mid, 1e-6)
+        r1, r2 = cr_residual(sm, mid)
         print(f"  sector {k}: {r1:.6f} (tangential {r2:.1e})")
 
 

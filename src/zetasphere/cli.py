@@ -2,7 +2,7 @@
 
 Subcommands: eval, zeros, verify, extend, plotdata.  Exit codes: 0 success,
 1 verification failure, 2 usage or domain error.  Output is deterministic
-for identical inputs and configuration (reports honor SOURCE_DATE_EPOCH).
+for identical inputs (reports honor SOURCE_DATE_EPOCH).
 """
 
 from __future__ import annotations
@@ -13,22 +13,19 @@ import re
 import sys
 
 from . import mero, modulus, zeros
-from .config import load_config
 from .errors import ZetasphereError
 from .specfun import digamma, gamma
-from .verify import PAPER_ANCHOR, PAPER_ORDINATE, first_zero, run_suite
+from .verify import PAPER_ANCHOR, PAPER_ORDINATE, SUITES, first_zero, run_suite
 from .zeta import completed_zeta, eta_eval, f_factor, zeta_eval
 
-CSV_HEADER = zeros.CSV_HEADER
-
 _EVAL_FUNCTIONS = {
-    "zeta": lambda s: zeta_eval(s),
-    "eta": lambda s: eta_eval(s),
-    "completed": lambda s: completed_zeta(s),
-    "f": lambda s: f_factor(s),
+    "zeta": zeta_eval,
+    "eta": eta_eval,
+    "completed": completed_zeta,
+    "f": f_factor,
     "f_abs": lambda s: complex(modulus.f_abs_closed(s).product),
-    "gamma": lambda s: gamma(s),
-    "digamma": lambda s: digamma(s),
+    "gamma": gamma,
+    "digamma": digamma,
 }
 
 def parse_complex(text: str) -> complex:
@@ -60,7 +57,7 @@ def _range_values(lo: float, hi: float, step: float) -> list[float]:
     return [lo + i * step for i in range(count) if lo + i * step <= hi + 1e-9 * step]
 
 
-def _cmd_eval(args, cfg) -> int:
+def _cmd_eval(args) -> int:
     s = parse_complex(args.value)
     value = _EVAL_FUNCTIONS[args.function](s)
     if args.json:
@@ -77,7 +74,7 @@ def _cmd_eval(args, cfg) -> int:
     return 0
 
 
-def _cmd_zeros(args, cfg) -> int:
+def _cmd_zeros(args) -> int:
     records = zeros.scan_zeros(args.t_from, args.t_to, args.step)
     if args.out and args.out.endswith(".json"):
         payload = zeros.records_to_json(records)
@@ -92,8 +89,8 @@ def _cmd_zeros(args, cfg) -> int:
     return 0
 
 
-def _cmd_verify(args, cfg) -> int:
-    report = run_suite(args.suite, cfg)
+def _cmd_verify(args) -> int:
+    report = run_suite(args.suite)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
@@ -104,7 +101,7 @@ def _cmd_verify(args, cfg) -> int:
     return 0 if not report.failed else 1
 
 
-def _cmd_extend(args, cfg) -> int:
+def _cmd_extend(args) -> int:
     computed_anchor = completed_zeta(0.5 + 0j).real
     if args.paper_anchor:
         ordinate = args.ordinate if args.ordinate is not None else PAPER_ORDINATE
@@ -147,8 +144,8 @@ def _cmd_extend(args, cfg) -> int:
     return 0
 
 
-def _cmd_plotdata(args, cfg) -> int:
-    lines = [CSV_HEADER]
+def _cmd_plotdata(args) -> int:
+    lines = [zeros.CSV_HEADER]
     if args.what == "zline":
         lo, hi, step = _range_triple(args.range or "0:50:0.05")
         lines.append("# columns: t,Z  (real restriction of completed zeta to the critical line)")
@@ -182,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical verification toolkit for the zeta/Gamma identity "
         "battery, critical-line zeros, sphere coverings, and strip flows.",
     )
-    parser.add_argument("--config", help="key=value config file (or set ZETASPHERE_CONFIG)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate one function at a complex point")
@@ -194,14 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeros", help="scan a critical-line window for zeros")
     p.add_argument("--from", dest="t_from", type=float, required=True)
     p.add_argument("--to", dest="t_to", type=float, required=True)
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--step", type=float, default=0.25)
     p.add_argument("--out", help="output path (.csv or .json); stdout CSV otherwise")
     p.set_defaults(handler=_cmd_zeros)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", required=True,
-                   choices=["table1", "functional", "modulus", "critical-line",
-                            "gamma", "divisors", "hurwitz", "flow", "all"])
+    p.add_argument("--suite", required=True, choices=[*SUITES, "all"])
     p.add_argument("--json", help="write the JSON report to this path")
     p.set_defaults(handler=_cmd_verify)
 
@@ -225,10 +219,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.command == "zeros" and args.step is None:
-            args.step = cfg.scan_step
-        return args.handler(args, cfg)
+        return args.handler(args)
     except ZetasphereError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

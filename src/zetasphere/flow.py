@@ -72,8 +72,6 @@ def continuity_probe(p: FlowParams) -> list[VerificationItem]:
     boundary, a nonzero jump is reported as a discrepancy flag, not a
     failure.
     """
-    if p.t < 0:
-        raise DomainError("continuity_probe needs t >= 0")
     expected = p.t * (0.5 - p.a)
     items: list[VerificationItem] = []
     jumps = []

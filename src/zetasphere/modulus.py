@@ -18,6 +18,9 @@ from .specfun import gamma, psi_pair
 from .zeta import f_factor, zeta_eval
 
 CRITERION_SAMPLES = 8
+# radius of the criterion circle: the O(radius^2) surrogate error stays well
+# inside the 1e-6 contract
+CRITERION_RADIUS = 1e-4
 # the eighth roots of unity e^(2 pi i j / 8), exact to the last bit, so that
 # U[(4 - j) % 8] == -conj(U[j])
 _R = math.sqrt(0.5)
@@ -106,14 +109,14 @@ def f_abs_product(s: complex) -> float:
     return f_abs_closed(s).product
 
 
-def criterion_ratio(s0: complex, radius: float) -> float:
+def criterion_ratio(s0: complex) -> float:
     """Mean of |zeta(s)| / |zeta(1-s)| over a small circle about s0.
 
     The limit surrogate for the on-the-critical-line criterion: the mean
-    equals |f(s0)| up to O(radius^2); small radii (~1e-4) put that inside
-    the 1e-6 contract.  The samples are s0 + radius U[j] over the exact
-    eighth roots of unity U, and |zeta(1-s)| is taken as |zeta(1 - conj s)|
-    (Schwarz reflection) at mirror + radius U[(4 - j) % 8], mirror =
+    equals |f(s0)| up to O(radius^2), radius = CRITERION_RADIUS.  The
+    samples are s0 + radius U[j] over the exact eighth roots of unity U,
+    and |zeta(1-s)| is taken as |zeta(1 - conj s)| (Schwarz reflection)
+    at mirror + radius U[(4 - j) % 8], mirror =
     1 - conj s0.  On the line mirror == s0, so the two circles are one and
     the ratio costs 8 zeta evaluations, not 16.
 
@@ -124,8 +127,6 @@ def criterion_ratio(s0: complex, radius: float) -> float:
     """
     s0 = complex(s0)
     _require_strip(s0, "criterion_ratio")
-    if not 0.0 < radius <= 0.1:
-        raise DomainError("criterion_ratio radius must lie in (0, 0.1]")
     mirror = complex(1.0 - s0.real, s0.imag)
     moduli: dict[complex, float] = {}
 
@@ -137,8 +138,8 @@ def criterion_ratio(s0: complex, radius: float) -> float:
     total = 0.0
     for j, u in enumerate(_UNIT_ROOTS):
         # 1 - conj(s0 + radius u) = mirror + radius (-conj u)
-        reflected = mirror + radius * _UNIT_ROOTS[(4 - j) % 8]
-        total += modulus_at(s0 + radius * u) / modulus_at(reflected)
+        reflected = mirror + CRITERION_RADIUS * _UNIT_ROOTS[(4 - j) % 8]
+        total += modulus_at(s0 + CRITERION_RADIUS * u) / modulus_at(reflected)
     return total / CRITERION_SAMPLES
 
 

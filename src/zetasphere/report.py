@@ -8,7 +8,6 @@ they surface the conflict.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -72,13 +71,8 @@ class VerificationReport:
     meta: dict = field(default_factory=dict)
 
     @classmethod
-    def build(cls, items: list[VerificationItem], config_digest: str) -> "VerificationReport":
-        meta = {
-            "version": __version__,
-            "timestamp": _timestamp(),
-            "config_digest": config_digest,
-        }
-        return cls(items=list(items), meta=meta)
+    def build(cls, items: list[VerificationItem]) -> "VerificationReport":
+        return cls(items=list(items), meta={"version": __version__, "timestamp": _timestamp()})
 
     @property
     def failed(self) -> list[VerificationItem]:
@@ -109,8 +103,3 @@ class VerificationReport:
             f"{n_fail} fail, {n_flag} discrepancy-flag"
         )
         return "\n".join(lines) + "\n"
-
-
-def config_digest(pairs: dict) -> str:
-    canon = json.dumps(pairs, sort_keys=True)
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 from .errors import BoundaryPoint, DomainError, InsufficientOrdinates, InvalidSpherePoint
 
 CONSTRAINT_BOUND = 1e-10
+CR_STEP = 1e-6  # central-difference step of cr_residual
 
 
 class _InfinityType:
@@ -160,20 +161,15 @@ class SectorMap:
         return tuple(-t for t in reversed(self._ords)) + tuple(self._ords)
 
 
-def cr_residual(
-    map_fn: Callable[[float, float], tuple[float, float]],
-    z: complex,
-    h: float = 1e-6,
-) -> tuple[float, float]:
+def cr_residual(map_fn: Callable[[float, float], tuple[float, float]], z: complex) -> tuple[float, float]:
     """Cauchy-Riemann residuals (|du/dx - dv/dy|, |du/dy + dv/dx|) of a
-    planar map at z, via central differences with step h.
+    planar map at z, via central differences with step CR_STEP.
 
     A map that keeps both residuals at 0 on a region satisfies the
     hypothesis of the Looman-Menchoff holomorphy criterion there; the
     sector retraction does not (first residual |1 - 1/gap|).
     """
-    if not 1e-8 <= h <= 1e-3:
-        raise DomainError("cr_residual step h must lie in [1e-8, 1e-3]")
+    h = CR_STEP
     x, y = complex(z).real, complex(z).imag
     for b in getattr(map_fn, "boundaries", ()):
         if abs(y - b) <= h:

@@ -46,7 +46,6 @@ QUADRATURE_MAX_DEPTH = 30  # rectangle count: most halvings of one edge
 # rectangle count: vertical edges this far from the critical line are taken
 # exactly; log zeta(1.1) = 2.36 < pi bounds |arg zeta| on Re s >= 1.1
 EXACT_EDGE_SIGMA = 1.1
-CRITERION_RADIUS = 1e-4
 CSV_HEADER = f"# zetasphere v{__version__}"
 
 
@@ -136,7 +135,7 @@ def refine_zero(
     a, b = _refine_bracket(a, b, fa, fb)
     t = 0.5 * (a + b)
     residual = abs(completed_zeta(complex(0.5, t)))
-    criterion = criterion_ratio(complex(0.5, abs(t)), CRITERION_RADIUS)
+    criterion = criterion_ratio(complex(0.5, abs(t)))
     return ZeroRecord(ordinate=t, bracket=(a, b), residual=residual, criterion=criterion)
 
 

@@ -408,12 +408,12 @@ def primes_below(bound: int) -> np.ndarray:
     return np.flatnonzero(sieve)
 
 
-def euler_product_partial(s: complex, prime_bound: int = 10**4) -> complex:
-    """prod over primes p < prime_bound of 1/(1 - p^-s); needs Re(s) > 1."""
+def euler_product_partial(s: complex) -> complex:
+    """prod over primes p < 10^4 of 1/(1 - p^-s); needs Re(s) > 1."""
     s = finite_argument(s, "euler_product_partial")
     if s.real <= 1:
         raise DomainError("Euler product requires Re(s) > 1")
-    return complex(1 / np.prod(1 - np.exp(-s * np.log(primes_below(prime_bound)))))
+    return complex(1 / np.prod(1 - np.exp(-s * np.log(primes_below(10**4)))))
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,10 @@ from zetasphere.sphere import (
 from zetasphere.verify import suite_hurwitz, suite_modulus
 from zetasphere.zeros import Rectangle, count_zeros_rectangle, refine_zero, scan_zeros
 from zetasphere.zeta import (
+    _zeta_euler_maclaurin,
     completed_zeta,
     even_limit_probe,
     even_zeta_rational,
-    functional_rhs,
     zeta_eval,
 )
 
@@ -84,23 +84,30 @@ def test_criterion_01_table1():
     report(1, "table of even values reproduced, exact rationals bit-matched (k=0..20)")
 
 
+def zeta_by_sum(s):
+    """zeta(s) by the eta sum right of the line and Euler-Maclaurin left of
+    it.  zeta_eval takes Re s < 1/2 through the functional equation, so
+    checking that equation, or Lambda(s) = Lambda(1 - s), with it would
+    only check identities of f."""
+    return zeta_eval(s) if s.real >= 0.5 else _zeta_euler_maclaurin(s)
+
+
 def test_criterion_02_functional_equation():
     worst = 0.0
     for s in strip_grid_200():
-        z = zeta_eval(s)
-        worst = max(worst, abs(z - functional_rhs(s)) / abs(z))
+        z = zeta_by_sum(s)
+        worst = max(worst, abs(z - f_factor(s) * zeta_by_sum(1 - s)) / abs(z))
     assert worst < 1e-9, worst
     report(2, f"functional equation residual {worst:.2e} < 1e-9 on 200-point strip grid")
 
 
 def test_criterion_03_completed_symmetry_and_realness():
-    # completed_zeta takes Re s < 1/2 at 1 - s, so it is checked against the
-    # printed product pi^(-w/2) Gamma(w/2) zeta(w) at w = 1 - s
+    # completed_zeta takes Re s < 1/2 at 1 - s, so on that side this checks
+    # Lambda(s) = Lambda(1 - s) against the printed product at s itself
     worst_sym = 0.0
     for s in strip_grid_200():
         a = completed_zeta(s)
-        w = 1 - s
-        printed = math.pi ** (-w / 2) * gamma(w / 2) * zeta_eval(w)
+        printed = math.pi ** (-s / 2) * gamma(s / 2) * zeta_by_sum(s)
         worst_sym = max(worst_sym, abs(a - printed) / abs(a))
     assert worst_sym < 1e-9, worst_sym
     worst_im = 0.0
@@ -230,7 +237,7 @@ def test_criterion_13_cauchy_riemann_residual():
     for k in range(4):
         gap = ords[k + 1] - ords[k]
         mid = complex(0.5, 0.5 * (ords[k] + ords[k + 1]))
-        r1, _ = cr_residual(sm, mid, 1e-6)
+        r1, _ = cr_residual(sm, mid)
         assert abs(r1 - abs(1 - 1 / gap)) < 1e-4, (k, r1)
     report(13, "CR residual equals |1 - 1/gap| within 1e-4 inside the first 4 sectors")
 

@@ -102,7 +102,7 @@ class TestEval:
     def test_unexpected_exception_exit_two(self, monkeypatch, capsys):
         import zetasphere.cli as cli
 
-        def boom(args, cfg):
+        def boom(args):
             raise OverflowError("math range error")
 
         monkeypatch.setattr(cli, "_cmd_eval", boom)
@@ -147,7 +147,7 @@ class TestVerify:
         from zetasphere.report import VerificationReport
         from zetasphere.zeros import CSV_HEADER
 
-        assert VerificationReport.build([], "digest").meta["version"] == zetasphere.__version__
+        assert VerificationReport.build([]).meta["version"] == zetasphere.__version__
         assert CSV_HEADER == f"# zetasphere v{zetasphere.__version__}"
 
     def test_table1_passes(self):
@@ -162,7 +162,7 @@ class TestVerify:
         payload = json.loads(out.read_text())
         assert set(payload) == {"items", "meta"}
         assert {"name", "target", "computed", "tolerance", "status"} <= set(payload["items"][0])
-        assert {"version", "timestamp", "config_digest"} <= set(payload["meta"])
+        assert set(payload["meta"]) == {"version", "timestamp"}
 
     def test_discrepancy_flags_do_not_fail_run(self):
         proc = run_cli("verify", "--suite", "hurwitz")
@@ -278,40 +278,26 @@ class TestPlotdata:
 
 
 class TestConfig:
-    def test_config_file_sets_scan_defaults(self, tmp_path):
+    """The scan step has one setting, ``zeros --step``; there is no config
+    file or environment variable."""
+
+    def test_step_default_is_quarter(self):
+        bare = run_cli("zeros", "--from", "10", "--to", "30")
+        explicit = run_cli("zeros", "--from", "10", "--to", "30", "--step", "0.25")
+        assert bare.returncode == explicit.returncode == 0
+        assert bare.stdout == explicit.stdout
+
+    def test_config_flag_is_gone(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("scan_step = 0.5\n# comment line\n")
+        cfg.write_text("scan_step = 0.25\n")
         proc = run_cli("--config", str(cfg), "zeros", "--from", "10", "--to", "16")
-        assert proc.returncode == 0
-        rows = [l for l in proc.stdout.splitlines() if l and not l.startswith(("#", "ordinate"))]
-        assert len(rows) == 1
-
-    def test_env_var_config(self, tmp_path):
-        cfg = tmp_path / "env.cfg"
-        cfg.write_text("scan_step = 0.5\n")
-        proc = run_cli("zeros", "--from", "10", "--to", "16", env_extra={"ZETASPHERE_CONFIG": str(cfg)})
-        assert proc.returncode == 0
-
-    def test_flag_overrides_file(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("scan_step = 1.0\n")
-        proc = run_cli("--config", str(cfg), "zeros", "--from", "10", "--to", "16", "--step", "0.25")
-        assert proc.returncode == 0
-
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus = 1\n")
-        proc = run_cli("--config", str(cfg), "zeros", "--from", "10", "--to", "16")
-        assert proc.returncode == 2
-        # scan_step is the only key; none of these may pass silently
-        for key in ("workers", "tolerance", "max_terms", "scan_from", "scan_to"):
-            cfg.write_text(f"{key} = 1\n")
-            assert main(["--config", str(cfg), "zeros", "--from", "10", "--to", "16"]) == 2
-
-    def test_config_directory_exit_two(self, tmp_path):
-        proc = run_cli("--config", str(tmp_path), "zeros", "--from", "10", "--to", "16")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+    def test_config_env_var_is_ignored(self, tmp_path):
+        proc = run_cli("zeros", "--from", "10", "--to", "16", env_extra={"ZETASPHERE_CONFIG": str(tmp_path)})
+        assert proc.returncode == 0
+        assert proc.stdout == run_cli("zeros", "--from", "10", "--to", "16").stdout
 
     def test_main_callable_directly(self):
         assert main(["eval", "zeta", "3+0i"]) == 0

@@ -115,14 +115,14 @@ class TestDerivativeFormulas:
 class TestCriterion:
     def test_first_zero_on_line(self):
         s0 = complex(0.5, ZERO_ORDINATES[0])
-        assert criterion_ratio(s0, 1e-4) == pytest.approx(1.0, abs=1e-6)
+        assert criterion_ratio(s0) == pytest.approx(1.0, abs=1e-6)
 
     def test_generic_on_line(self):
-        assert criterion_ratio(complex(0.5, 7.3), 1e-4) == pytest.approx(1.0, abs=1e-6)
+        assert criterion_ratio(complex(0.5, 7.3)) == pytest.approx(1.0, abs=1e-6)
 
     def test_off_line_matches_f_modulus(self):
         s0 = complex(0.3, 2.0)
-        value = criterion_ratio(s0, 1e-4)
+        value = criterion_ratio(s0)
         assert value == pytest.approx(f_abs_product(s0), abs=1e-6)
         assert abs(value - 1.0) > 0.1
 
@@ -131,7 +131,7 @@ class TestCriterion:
         # on the line the denominator circle is the numerator circle
         calls = []
         monkeypatch.setattr(modulus, "zeta_eval", lambda s: calls.append(s) or zeta_eval(s))
-        criterion_ratio(s0, 1e-4)
+        criterion_ratio(s0)
         assert len(calls) == evaluations
 
     def test_matches_the_sixteen_evaluation_loop(self):
@@ -144,13 +144,11 @@ class TestCriterion:
                 s = s0 + 1e-4 * cmath.exp(2j * math.pi * j / 8)
                 total += abs(zeta_eval(s)) / abs(zeta_eval(1 - s))
             old = total / 8
-            assert abs(criterion_ratio(s0, 1e-4) - old) <= 1e-13 * old, s0
+            assert abs(criterion_ratio(s0) - old) <= 1e-13 * old, s0
 
-    def test_radius_validation(self):
+    def test_strip_validation(self):
         with pytest.raises(DomainError):
-            criterion_ratio(0.5 + 2j, 0.2)
-        with pytest.raises(DomainError):
-            criterion_ratio(1.5 + 2j, 1e-4)
+            criterion_ratio(1.5 + 2j)
 
 
 class TestAsymptoticSuite:

@@ -156,35 +156,31 @@ class TestCRResidual:
     ords = list(ZERO_ORDINATES[:5])
 
     def test_identity_map_is_holomorphic(self):
-        r1, r2 = cr_residual(lambda x, y: (x, y), 0.3 + 2j, 1e-6)
+        r1, r2 = cr_residual(lambda x, y: (x, y), 0.3 + 2j)
         assert r1 < 1e-9 and r2 < 1e-9
 
     def test_sector_map_first_gap(self):
         gap = self.ords[1] - self.ords[0]
         mid = 0.5 * (self.ords[0] + self.ords[1])
-        r1, r2 = cr_residual(SectorMap(self.ords), complex(0.5, mid), 1e-6)
+        r1, r2 = cr_residual(SectorMap(self.ords), complex(0.5, mid))
         assert r1 == pytest.approx(abs(1 - 1 / gap), abs=1e-4)
         assert r1 == pytest.approx(abs(1 - 1 / GAP_1_2), abs=1e-4)
         assert r2 < 1e-9
 
     def test_unit_gap_sector_is_holomorphic(self):
         unit = SectorMap([5.0, 6.0, 7.0])
-        r1, r2 = cr_residual(unit, complex(0.2, 5.5), 1e-6)
+        r1, r2 = cr_residual(unit, complex(0.2, 5.5))
         assert r1 < 1e-9 and r2 < 1e-9
 
     def test_boundary_stencil_rejected(self):
         with pytest.raises(BoundaryPoint):
-            cr_residual(SectorMap(self.ords), complex(0.5, self.ords[1]), 1e-6)
-
-    def test_step_validation(self):
-        with pytest.raises(DomainError):
-            cr_residual(lambda x, y: (x, y), 1j, 0.5)
+            cr_residual(SectorMap(self.ords), complex(0.5, self.ords[1]))
 
     def test_first_component_bounded_away_from_zero_on_sectors(self):
         sm = SectorMap(self.ords)
         for k in range(4):
             mid = 0.5 * (self.ords[k] + self.ords[k + 1])
-            r1, _ = cr_residual(sm, complex(0.5, mid), 1e-6)
+            r1, _ = cr_residual(sm, complex(0.5, mid))
             assert r1 > 0.1
 
 

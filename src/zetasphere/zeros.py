@@ -12,8 +12,11 @@ so is log zeta's on Re s >= 1.1, where |arg zeta| < pi makes the principal
 log continuous (Backlund).  Only zeta'/zeta on 1/2 <= Re s < 1.1, and the
 mirror images of those pieces, take adaptive Simpson quadrature, phase-step
 guarded, which halves a segment until Simpson's rule on it and the composite
-rule over its quarter points agree.  Nothing is formed that underflows, so
-the count reaches t = 1000.
+rule over its quarter points agree; a piece whose mirror is a piece already
+integrated, reversed, is not integrated again.  The nodes of a horizontal
+edge share Im s and with it the phases k^-it of their eta sums, which are
+formed once per edge.  Nothing is formed that underflows: the scan stops at
+t = 1000, and the count is tested to t = 10^4.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .zeta import (
     completed_zeta,
     zeta_eval,
     zeta_log_logderiv,
+    zeta_log_logderiv_row,
 )
 
 BRACKET_TOLERANCE = 1e-9
@@ -223,6 +227,17 @@ def _simpson_edge(node, za: complex, zb: complex) -> complex:
     return integral
 
 
+def _edge_pieces(za: complex, zb: complex) -> list[tuple[complex, complex]]:
+    """The segment za -> zb cut where it crosses Re s = 1 - EXACT_EDGE_SIGMA,
+    1/2 and EXACT_EDGE_SIGMA, in order; mirrored cuts coincide, since
+    1 - (1 - EXACT_EDGE_SIGMA) == EXACT_EDGE_SIGMA."""
+    cut_abscissas = (1 - EXACT_EDGE_SIGMA, 0.5, EXACT_EDGE_SIGMA)
+    cuts = [x for x in cut_abscissas if (za.real - x) * (zb.real - x) < 0]
+    cuts = cuts if za.real < zb.real else cuts[::-1]
+    points = [za, *(complex(x, za.imag) for x in cuts), zb]
+    return list(zip(points, points[1:]))
+
+
 def count_zeros_rectangle(rect: Rectangle) -> int:
     """Winding number (1/2 pi i) contour integral of zt'/zt around rect.
 
@@ -230,10 +245,20 @@ def count_zeros_rectangle(rect: Rectangle) -> int:
     and 1 -+ EXACT_EDGE_SIGMA, and a piece left of the line is the conjugate
     of its mirror piece (zt(s) = conj zt(1 - conj s)), whose nodes it shares.
     A piece's zeta part is log zeta(end) - log zeta(start) on
-    Re s >= EXACT_EDGE_SIGMA, else ``_simpson_edge`` of zeta'/zeta.  Its P
-    parts telescope, log P being continuous on Re s > 0, to the jumps between
-    conj log P and log P where the contour enters and leaves Re s >= 1/2:
-    2i (theta(y_max) - theta(y_min)) with theta(t) = Im log P(1/2 + it).
+    Re s >= EXACT_EDGE_SIGMA, else ``_simpson_edge`` of zeta'/zeta; a strip
+    piece whose mirror is a piece already integrated, reversed, is that
+    integral negated (a horizontal edge's [1 - EXACT_EDGE_SIGMA, 1/2]
+    mirrors its [1/2, EXACT_EDGE_SIGMA]).  The P parts telescope, log P being
+    continuous on Re s > 0, to the jumps between conj log P and log P where
+    the contour enters and leaves Re s >= 1/2: 2i (theta(y_max) -
+    theta(y_min)) with theta(t) = Im log P(1/2 + it).
+
+    The nodes of a horizontal edge share Im s, so they come from one
+    ``zeta_log_logderiv_row`` per edge; the nodes of a vertical strip edge
+    each take ``zeta_log_logderiv``.  PoleError, before any node is
+    evaluated, when the bottom edge passes 0 or 1 closer than the quadrature
+    can resolve: 1.21 times its piece's length / 2^QUADRATURE_MAX_DEPTH.
+    The count is tested to T = 10^4.
     """
     corners = [
         complex(rect.x_min, rect.y_min),
@@ -242,37 +267,50 @@ def count_zeros_rectangle(rect: Rectangle) -> int:
         complex(rect.x_min, rect.y_max),
         complex(rect.x_min, rect.y_min),
     ]
-    # only the bottom edge passes the poles; a node next to 1 mirrors one next to 0
-    for pole in (0.0, 1.0):
-        if abs(complex(min(max(pole, rect.x_min), rect.x_max), rect.y_min) - pole) < POLE_WINDOW:
-            raise PoleError(pole)
+    edges = [_edge_pieces(za, zb) for za, zb in zip(corners, corners[1:])]
+    # only the bottom edge passes the poles, and only its strip pieces, which
+    # take quadrature; a node next to 1 mirrors one next to 0.  Seen from a
+    # pole closer than a piece's deepest segment over 2 tan(pi/8), that
+    # segment spans more than the pi/4 the phase guard allows, which would
+    # read as a zero on the contour
+    for wa, wb in edges[0]:
+        if wa.real < 1 - EXACT_EDGE_SIGMA or wb.real > EXACT_EDGE_SIGMA:
+            continue
+        deepest = (wb.real - wa.real) / 2**QUADRATURE_MAX_DEPTH
+        for pole in (0.0, 1.0):
+            nearest = complex(min(max(pole, wa.real), wb.real), rect.y_min)
+            if abs(nearest - pole) < max(POLE_WINDOW, deepest / (2 * math.tan(math.pi / 8))):
+                raise PoleError(pole)
     cache: dict[complex, tuple[complex, complex]] = {}
+    rows = {rect.y_min: None, rect.y_max: None}
 
     def node(w: complex, mirrored: bool) -> tuple[complex, complex]:
         if w not in cache:
             try:
-                cache[w] = zeta_log_logderiv(w)
+                if w.imag in rows:
+                    if rows[w.imag] is None:
+                        rows[w.imag] = zeta_log_logderiv_row(w.imag)
+                    cache[w] = rows[w.imag](w.real)
+                else:
+                    cache[w] = zeta_log_logderiv(w)
             except DomainError as exc:
                 z = 1 - w.conjugate() if mirrored else w
                 raise DomainError(f"completed zeta has no log or log-derivative at s = {z}") from exc
         return cache[w]
 
     integral = 0j
-    # 1 - (1 - EXACT_EDGE_SIGMA) == EXACT_EDGE_SIGMA, so mirrored cuts coincide
-    cut_abscissas = (1 - EXACT_EDGE_SIGMA, 0.5, EXACT_EDGE_SIGMA)
-    for za, zb in zip(corners, corners[1:]):
-        cuts = [x for x in cut_abscissas if (za.real - x) * (zb.real - x) < 0]
-        cuts = cuts if za.real < zb.real else cuts[::-1]
-        points = [za, *(complex(x, za.imag) for x in cuts), zb]
-        for wa, wb in zip(points, points[1:]):
-            mirrored = wa.real + wb.real < 1.0
-            if mirrored:
-                wa, wb = 1 - wa.conjugate(), 1 - wb.conjugate()
-            if min(wa.real, wb.real) >= EXACT_EDGE_SIGMA:
-                piece = node(wb, mirrored)[0] - node(wa, mirrored)[0]
-            else:
-                piece = _simpson_edge(lambda w: node(w, mirrored), wa, wb)
-            integral += piece.conjugate() if mirrored else piece
+    pieces: dict[tuple[complex, complex], complex] = {}
+    for wa, wb in (ends for edge in edges for ends in edge):
+        mirrored = wa.real + wb.real < 1.0
+        if mirrored:
+            wa, wb = 1 - wa.conjugate(), 1 - wb.conjugate()
+        if min(wa.real, wb.real) >= EXACT_EDGE_SIGMA:
+            piece = node(wb, mirrored)[0] - node(wa, mirrored)[0]
+        elif (wb, wa) in pieces:
+            piece = -pieces[wb, wa]
+        else:
+            piece = pieces[wa, wb] = _simpson_edge(lambda w: node(w, mirrored), wa, wb)
+        integral += piece.conjugate() if mirrored else piece
     # the contour enters and leaves Re s >= 1/2 on the horizontal edges; a
     # vertical edge on the line is a right piece
     if rect.x_min < 0.5 <= rect.x_max:

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +115,17 @@ class TestScan:
     def test_full_range_to_1000(self):
         assert len(scan_zeros(0.0, 1000.0, 0.25)) == ZEROS_BELOW_1000
 
+    def test_ordinates_to_450_match_the_frozen_mpmath_table(self):
+        # 235 ordinates from mpmath.zetazero at 30 digits; a 1e-8 error in
+        # the eta sum moves the scanned ones by up to 6e-9
+        table = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "zeros_450.txt"
+        lines = table.read_text(encoding="ascii").splitlines()
+        expected = [float(line) for line in lines if not line.startswith("#")]
+        records = scan_zeros(0.0, 450.0, 0.25)
+        assert len(records) == len(expected) == 235
+        for rec, ordinate in zip(records, expected):
+            assert abs(rec.ordinate - ordinate) <= zeros.BRACKET_TOLERANCE
+
     def test_range_validation(self):
         with pytest.raises(DomainError):
             scan_zeros(-1.0, 10.0, 0.25)
@@ -155,6 +167,24 @@ class TestRectangleCount:
         # factor of the criterion points leaves double range
         rect = Rectangle(-0.5, 1.5, 440.2, 470.3)
         assert len(scan_zeros(440.2, 470.3, 0.25)) == count_zeros_rectangle(rect) == 20
+
+    @pytest.mark.parametrize("t_max, count", [(2000.5, 1518), (5000.3, 4521)])
+    def test_count_past_1000(self, t_max, count):
+        # N(T) from mpmath.nzeros; the scan stops at t = 1000, the count does not
+        assert count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, t_max)) == count
+
+    def test_each_strip_piece_is_integrated_once(self, monkeypatch):
+        # a left strip piece's mirror is a right piece reversed: the bottom
+        # and top edges' [-0.1, 1/2] here, and the whole left edge of a
+        # contour inside the strip
+        calls = []
+        simpson = zeros._simpson_edge
+        monkeypatch.setattr(zeros, "_simpson_edge", lambda *args: calls.append(args) or simpson(*args))
+        assert count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, 30.0)) == 3
+        assert len(calls) == 2
+        calls.clear()
+        assert count_zeros_rectangle(Rectangle(0.25, 0.75, 1.0, 30.0)) == 3
+        assert len(calls) == 3
 
     def test_asymmetric_rectangle_to_100(self):
         # -0.25 and 1.75 are not mirror images; only the strip pieces of the
@@ -231,6 +261,22 @@ class TestRectangleCount:
         tight = zeros._simpson_edge(zeta_log_logderiv, za, zb)
         assert abs(default - tight) <= 1e-5
 
+    def test_end_to_end_phase_guard_splits_a_piece_its_quarter_steps_pass(self):
+        # phase (pi - 0.1) x on [0, 1]: each quarter step is below pi/4 and
+        # Simpson's rule is exact, so only the end-to-end step splits the
+        # piece, down to quarters: 3 + 2 nodes, then 2 per segment over 2
+        # halves and 4 quarters; without the guard it would stop at 5
+        slope = math.pi - 0.1
+        calls = []
+
+        def linear_phase(z):
+            calls.append(z)
+            return complex(0.0, slope * z.real), complex(0.0, slope)
+
+        integral = zeros._simpson_edge(linear_phase, 0j, 1 + 0j)
+        assert len(calls) == 17
+        assert abs(integral - 1j * slope) <= 1e-12
+
     @pytest.mark.parametrize("x_max", [20.0, 30.0, 50.0, 200.0])
     def test_wide_rectangle_to_100(self, x_max):
         # the nearest zero is 1.17 from these contours; an end-to-end phase
@@ -239,14 +285,11 @@ class TestRectangleCount:
         assert count_zeros_rectangle(Rectangle(-0.5, x_max, 1.0, 100.0)) == ZEROS_BELOW_100
 
     def test_zero_at_a_mirror_node_names_the_contour_point(self, monkeypatch):
-        evaluate = zeros.zeta_log_logderiv
-
         def zero_right_edge(s):
             if s.real == 1.5:
                 raise DomainError(f"zeta is 0 at s = {s}")
-            return evaluate(s)
 
-        monkeypatch.setattr(zeros, "zeta_log_logderiv", zero_right_edge)
+        _hook_evaluations(monkeypatch, zero_right_edge)
         with pytest.raises(DomainError, match=r"s = \(-0\.5\+"):
             count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, 30.0))
 
@@ -263,6 +306,29 @@ class TestRectangleCount:
         with pytest.raises(PoleError) as info:
             count_zeros_rectangle(Rectangle(x_min, x_max, 1e-13, 1.0))
         assert info.value.point == pole
+
+    @pytest.mark.parametrize(
+        "x_min, x_max, pole, piece",
+        [(-0.3, 0.25, 0.0, 0.35), (0.3, 1.3, 1.0, 0.6), (-0.5, 1.5, 0.0, 0.6)],
+    )
+    def test_bottom_edge_closer_to_a_pole_than_the_quadrature_resolves(
+        self, x_min, x_max, pole, piece, monkeypatch
+    ):
+        # the strip piece over the pole is halved to piece / 2^30 at most; a
+        # segment that long spans pi/4 seen from 1.21 times its length
+        reach = piece / 2**zeros.QUADRATURE_MAX_DEPTH / (2 * math.tan(math.pi / 8))
+        calls = _count_evaluations(monkeypatch)
+        with pytest.raises(PoleError) as info:
+            count_zeros_rectangle(Rectangle(x_min, x_max, 0.99 * reach, 1.0))
+        assert info.value.point == pole
+        assert calls == []
+        assert count_zeros_rectangle(Rectangle(x_min, x_max, 1.01 * reach, 1.0)) == 0
+
+    @pytest.mark.parametrize("x_min, x_max", [(-0.5, 1e10), (-1e10, 1.5)])
+    def test_exact_pieces_do_not_widen_the_reach_of_a_pole(self, x_min, x_max):
+        # the bottom edge's exact piece is 1e10 long, but it takes no
+        # quadrature, and the poles lie at least 0.1 from it
+        assert count_zeros_rectangle(Rectangle(x_min, x_max, 1.0, 100.0)) == ZEROS_BELOW_100
 
     def test_count_leaves_no_reference_cycles(self):
         # a node cache kept alive by a cycle would outlive the call until a
@@ -313,11 +379,24 @@ class TestRectangleCount:
         assert len(scan_zeros(ETA_DENOM_ZERO_IM, 30.0, 0.25)) == count_zeros_rectangle(rect) == 3
 
 
+def _hook_evaluations(monkeypatch, hook):
+    """Call ``hook(s)`` before every node evaluation the rectangle count
+    makes, at a point (zeta_log_logderiv) or on a row (the functions of
+    zeta_log_logderiv_row)."""
+    evaluate, row = zeros.zeta_log_logderiv, zeros.zeta_log_logderiv_row
+
+    def hooked_row(t):
+        on_row = row(t)
+        return lambda sigma: hook(complex(sigma, t)) or on_row(sigma)
+
+    monkeypatch.setattr(zeros, "zeta_log_logderiv", lambda s: hook(s) or evaluate(s))
+    monkeypatch.setattr(zeros, "zeta_log_logderiv_row", hooked_row)
+
+
 def _count_evaluations(monkeypatch):
     """The arguments of every node evaluation the rectangle count makes."""
     calls = []
-    evaluate = zeros.zeta_log_logderiv
-    monkeypatch.setattr(zeros, "zeta_log_logderiv", lambda s: calls.append(s) or evaluate(s))
+    _hook_evaluations(monkeypatch, calls.append)
     return calls
 
 

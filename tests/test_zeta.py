@@ -11,7 +11,7 @@ from zetasphere.errors import ConvergenceError, DomainError, PoleError, Zetasphe
 from zetasphere.specfun import _LNPI, digamma, gamma
 from zetasphere.zeta import (
     _SPLIT_MIN_TERMS,
-    _eta_terms,
+    _eta_weights,
     _power_table,
     _powers,
     completed_log_prefactor,
@@ -26,6 +26,7 @@ from zetasphere.zeta import (
     stieltjes_gamma,
     zeta_eval,
     zeta_log_logderiv,
+    zeta_log_logderiv_row,
 )
 
 from reference_values import (
@@ -70,7 +71,8 @@ class TestEta:
         "s", [complex(0.5, 14.134725), complex(0.5, 450.0), complex(0.5, 1000.0), complex(2.0, 30.0)]
     )
     def test_sum_matches_fsum_of_the_same_terms(self, s):
-        coeffs, _, powers = _eta_terms(s)
+        coeffs, _ = _eta_weights(s)
+        powers = _powers(s, len(coeffs))
         terms = coeffs * powers
         reference = complex(math.fsum(terms.real), math.fsum(terms.imag))
         scale = float(np.sum(np.abs(coeffs) * np.abs(powers)))
@@ -373,6 +375,35 @@ class TestCompletedPhaseLogDerivative:
         # the count's exact pieces need the principal log on Re s >= 1.1
         for s in (complex(1.1, 7.0), complex(0.6, 300.0), complex(2.0, -999.0)):
             assert zeta_log_logderiv(s)[0] == cmath.log(zeta_eval(s))
+
+
+class TestLogLogderivRow:
+    @pytest.mark.parametrize("t", [1.0, 14.0, 230.28102574805342, 999.9, 10000.7, ETA_DENOM_ZERO_IM])
+    def test_matches_the_point_evaluator(self, t):
+        # the two differ only in how the terms of the eta sum are rounded and
+        # summed, to ~1e-16 of their sizes; relative to zeta that widens by
+        # 1/|eta| where the sum is small (|eta| ~ 0.1 at 1/2 + 10000.7i)
+        row = zeta_log_logderiv_row(t)
+        for sigma in (0.5, 0.8, 1.1, 1.5):
+            s = complex(sigma, t)
+            point = zeta_log_logderiv(s)
+            eta = cmath.exp(point[0]) * (1 - 2 ** (1 - s))
+            for got, ref in zip(row(sigma), point):
+                assert abs(got - ref) <= 1e-14 * max(abs(ref), 1.0) / min(abs(eta), 1.0)
+
+    @pytest.mark.parametrize("sigma", [0.995, 1.0, 1.005])
+    def test_takes_the_euler_maclaurin_fallback_on_the_eta_denominator_row(self, sigma):
+        # within 1e-2 of 1 + 2 pi i / ln 2 both take the same Euler-Maclaurin sum
+        s = complex(sigma, ETA_DENOM_ZERO_IM)
+        assert zeta_log_logderiv_row(ETA_DENOM_ZERO_IM)(sigma) == zeta_log_logderiv(s)
+
+    def test_pole_and_domain(self):
+        with pytest.raises(PoleError):
+            zeta_log_logderiv_row(0.0)(1.0)
+        with pytest.raises(DomainError):
+            zeta_log_logderiv_row(14.0)(0.49)
+        with pytest.raises(DomainError):
+            zeta_log_logderiv_row(math.nan)
 
 
 class TestEvenZetaRational:

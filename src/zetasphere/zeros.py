@@ -9,14 +9,14 @@ come from the grid (30 for a bracket refined on its own).
 An independent count of zeros inside a rectangle comes from the winding of
 the completed zeta along the boundary.  Its Gamma factor's part is exact, and
 so is log zeta's on Re s >= 1.1, where |arg zeta| < pi makes the principal
-log continuous (Backlund).  Only zeta'/zeta on 1/2 <= Re s < 1.1, and the
-mirror images of those pieces, take adaptive Simpson quadrature, phase-step
-guarded, which halves a segment until Simpson's rule on it and the composite
-rule over its quarter points agree; a piece whose mirror is a piece already
-integrated, reversed, is not integrated again.  The nodes of a horizontal
-edge share Im s and with it the phases k^-it of their eta sums, which are
-formed once per edge.  Nothing is formed that underflows: the scan stops at
-t = 1000, and the count is tested to t = 10^4.
+log continuous (Backlund).  On 1/2 <= Re s < 1.1, and on those pieces'
+mirror images, the change of log zeta is exact too: log |zeta| at the end
+less at the start, plus the phase tracked in wrapped steps between adaptive
+nodes, Simpson's rule for zeta'/zeta checking that no step hides a full turn;
+a piece whose mirror is a piece already tracked, reversed, is not tracked
+again.  The nodes of a horizontal edge share Im s and with it the phases
+k^-it of their eta sums, which are formed once per edge.  Nothing is formed
+that underflows: the scan stops at t = 1000, and the count is tested to 10^4.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .zeta import (
 )
 
 BRACKET_TOLERANCE = 1e-9
-QUADRATURE_TOLERANCE = 2e-4  # rectangle count: split while |fine - coarse| exceeds this
+QUADRATURE_TOLERANCE = 0.1  # rectangle count: most |Im Simpson - sum of phase steps|, < pi/4
 QUADRATURE_MAX_DEPTH = 30  # rectangle count: most halvings of one edge
 # rectangle count: vertical edges this far from the critical line are taken
 # exactly; log zeta(1.1) = 2.36 < pi bounds |arg zeta| on Re s >= 1.1
@@ -73,6 +73,9 @@ class Rectangle:
     y_max: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise DomainError(f"Rectangle needs a finite {name}, got {value}")
         if not self.x_min < self.x_max:
             raise DomainError("Rectangle needs x_min < x_max")
         if not 0.0 < self.y_min < self.y_max:
@@ -178,42 +181,39 @@ def scan_zeros(t0: float, t1: float, step: float) -> list[ZeroRecord]:
 
 
 def _simpson_edge(node, za: complex, zb: complex) -> complex:
-    """Integral of zt'/zt along the segment za -> zb by adaptive Simpson.
+    """Change of log zt along the segment za -> zb, tracked by its phase.
 
-    ``node(z)`` gives (log zt(z), zt'/zt(z)); only the imaginary part of the
-    log, the phase, is read, and only modulo 2 pi.  A segment is halved
-    until its end-to-end phase step and each of its four quarter-point
-    steps are within pi/4 AND Simpson's rule over its ends and midpoint
-    agrees within QUADRATURE_TOLERANCE with the composite rule over its
-    quarter points, whose value is kept; the halves take the quarter points
-    as their midpoints, so no node is evaluated twice.  Raises
-    PhaseJumpError when QUADRATURE_MAX_DEPTH halvings leave a step above
-    pi/4 (segment hugging a zero).
+    ``node(z)`` gives (log zt(z), zt'/zt(z)), the log on any branch.  The
+    real part is log |zt| at zb less log |zt| at za.  The imaginary part sums
+    the wrapped phase steps between each accepted segment's ends and quarter
+    points, exact once every step is within pi/4 and the composite Simpson
+    rule of zt'/zt over the quarter points agrees with that sum within
+    QUADRATURE_TOLERANCE: the derivative check sees a phase that turns a full
+    2 pi between quarter points, which the steps alone wrap away (Ying and
+    Katz, Numer. Math. 53, 1988).  A segment failing either test is halved;
+    the halves take the quarter points as their midpoints, so no node is
+    evaluated twice.  Raises PhaseJumpError when QUADRATURE_MAX_DEPTH
+    halvings leave a step above pi/4 (segment hugging a zero).
     """
 
     def wrapped_step(a: complex, b: complex) -> float:
-        return abs((b.imag - a.imag + math.pi) % (2 * math.pi) - math.pi)
+        return (b.imag - a.imag + math.pi) % (2 * math.pi) - math.pi
 
     zm = 0.5 * (za + zb)
     (la, ga), (lm, gm), (lb, gb) = node(za), node(zm), node(zb)
+    log_change = lb.real - la.real
     stack = [(za, zm, zb, la, lm, lb, ga, gm, gb, 0)]
-    integral = 0j
+    phase = 0.0
     while stack:
         za, zm, zb, la, lm, lb, ga, gm, gb, depth = stack.pop()
         z1, z3 = 0.5 * (za + zm), 0.5 * (zm + zb)
         (l1, g1), (l3, g3) = node(z1), node(z3)
-        coarse = (ga + 4 * gm + gb) * (zb - za) / 6
-        fine = (ga + 4 * g1 + 2 * gm + 4 * g3 + gb) * (zb - za) / 12
+        simpson = (ga + 4 * g1 + 2 * gm + 4 * g3 + gb) * (zb - za) / 12
+        steps = [wrapped_step(u, v) for u, v in ((la, l1), (l1, lm), (lm, l3), (l3, lb))]
         # the quarter steps are guarded too: a winding near 2 pi over the
         # whole segment wraps to a small end-to-end step
-        dphi = max(
-            wrapped_step(la, lb),
-            wrapped_step(la, l1),
-            wrapped_step(l1, lm),
-            wrapped_step(lm, l3),
-            wrapped_step(l3, lb),
-        )
-        if dphi > math.pi / 4 or abs(fine - coarse) > QUADRATURE_TOLERANCE:
+        dphi = max(abs(wrapped_step(la, lb)), *map(abs, steps))
+        if dphi > math.pi / 4 or abs(simpson.imag - sum(steps)) > QUADRATURE_TOLERANCE:
             if depth < QUADRATURE_MAX_DEPTH:
                 stack.append((za, z1, zm, la, l1, lm, ga, g1, gm, depth + 1))
                 stack.append((zm, z3, zb, lm, l3, lb, gm, g3, gb, depth + 1))
@@ -223,8 +223,8 @@ def _simpson_edge(node, za: complex, zb: complex) -> complex:
                     f"phase step {dphi:.3f} > pi/4 near {zm} after refinement; "
                     "boundary too close to a zero"
                 )
-        integral += fine
-    return integral
+        phase += sum(steps)
+    return complex(log_change, phase)
 
 
 def _edge_pieces(za: complex, zb: complex) -> list[tuple[complex, complex]]:
@@ -245,13 +245,13 @@ def count_zeros_rectangle(rect: Rectangle) -> int:
     and 1 -+ EXACT_EDGE_SIGMA, and a piece left of the line is the conjugate
     of its mirror piece (zt(s) = conj zt(1 - conj s)), whose nodes it shares.
     A piece's zeta part is log zeta(end) - log zeta(start) on
-    Re s >= EXACT_EDGE_SIGMA, else ``_simpson_edge`` of zeta'/zeta; a strip
-    piece whose mirror is a piece already integrated, reversed, is that
-    integral negated (a horizontal edge's [1 - EXACT_EDGE_SIGMA, 1/2]
-    mirrors its [1/2, EXACT_EDGE_SIGMA]).  The P parts telescope, log P being
-    continuous on Re s > 0, to the jumps between conj log P and log P where
-    the contour enters and leaves Re s >= 1/2: 2i (theta(y_max) -
-    theta(y_min)) with theta(t) = Im log P(1/2 + it).
+    Re s >= EXACT_EDGE_SIGMA, else ``_simpson_edge``'s change of log zeta,
+    its phase tracked between nodes; a strip piece whose mirror is a piece
+    already tracked, reversed, is that change negated (a horizontal edge's
+    [1 - EXACT_EDGE_SIGMA, 1/2] mirrors its [1/2, EXACT_EDGE_SIGMA]).  The
+    P parts telescope, log P being continuous on Re s > 0, to the jumps
+    between conj log P and log P where the contour enters and leaves
+    Re s >= 1/2: 2i (theta(y_max) - theta(y_min)), theta(t) = Im log P(1/2 + it).
 
     The nodes of a horizontal edge share Im s, so they come from one
     ``zeta_log_logderiv_row`` per edge; the nodes of a vertical strip edge

@@ -196,18 +196,26 @@ class TestRectangleCount:
         assert count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, 30.0)) == 3
         assert all(s.real >= 0.5 for s in calls)
         assert len(set(calls)) == len(calls)
-        # the count visits 54 contour nodes here, all on the horizontal
+        # the count visits 30 contour nodes here, all on the horizontal
         # edges and 2 of them on the line
-        assert len(calls) <= (54 + 2) // 2
+        assert len(calls) <= (30 + 2) // 2
 
-    def test_count_to_100_takes_at_most_20_evaluations(self, monkeypatch):
+    def test_count_to_100_takes_at_most_12_evaluations(self, monkeypatch):
         # the vertical edges are exact, so only the horizontal edges take
-        # nodes: the quadrature's on 1/2 <= Re s < 1.1 and the exact
+        # nodes: the phase tracking's on 1/2 <= Re s < 1.1 and the exact
         # pieces' ends at 1.1 and 1.5
         calls = _count_evaluations(monkeypatch)
         assert count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, 100.0)) == ZEROS_BELOW_100
-        assert len(calls) <= 20
+        assert len(calls) <= 12
         assert {s.imag for s in calls} == {1.0, 100.0}
+
+    def test_strip_contour_to_100_takes_at_most_629_evaluations(self, monkeypatch):
+        # every edge lies inside the strip; the left edge is the right one's
+        # change negated, so the nodes are the right edge's and the two
+        # horizontal pieces'
+        calls = _count_evaluations(monkeypatch)
+        assert count_zeros_rectangle(Rectangle(0.25, 0.75, 1.0, 100.0)) == ZEROS_BELOW_100
+        assert len(calls) <= 629
 
     def test_asymmetric_contour_shares_its_strip_nodes(self, monkeypatch):
         # the left pieces' quadrature runs on the nodes of the right pieces;
@@ -226,8 +234,9 @@ class TestRectangleCount:
 
     @pytest.mark.parametrize("x", [1.5, -0.25, zeros.EXACT_EDGE_SIGMA])
     def test_exact_edge_equals_its_quadrature(self, x, monkeypatch):
-        # an edge left of the line is taken at its mirror image; at the
-        # default tolerance the quadrature itself is off by up to ~2e-4 here
+        # an edge left of the line is taken at its mirror image; a tight
+        # tolerance only adds nodes, since the change is exact once the
+        # branch is
         x = max(x, 1 - x)
         monkeypatch.setattr(zeros, "QUADRATURE_TOLERANCE", 1e-8)
         za, zb = complex(x, 1.0), complex(x, 100.0)
@@ -250,6 +259,26 @@ class TestRectangleCount:
         monkeypatch.setattr(zeros, "QUADRATURE_TOLERANCE", 1e-12)
         exact = completed_log_prefactor(zb) - completed_log_prefactor(za)
         assert abs(exact - zeros._simpson_edge(gamma_factor, za, zb)) <= 1e-8
+
+    def test_gamma_factor_change_up_the_line_is_exact_at_the_default_tolerance(self):
+        # theta(999.9) - theta(1) is ~2036 rad, tracked in wrapped steps
+        def gamma_factor(w):
+            return completed_log_prefactor(w), 0.5 * digamma(w / 2) - 0.5 * _LNPI
+
+        za, zb = complex(0.5, 1.0), complex(0.5, 999.9)
+        exact = completed_log_prefactor(zb) - completed_log_prefactor(za)
+        assert abs(exact - zeros._simpson_edge(gamma_factor, za, zb)) <= 1e-9
+
+    @pytest.mark.parametrize("y", [1.0, 14.0, 230.28102574805342, 999.9])
+    def test_strip_piece_is_an_exact_log_difference(self, y):
+        # the real part is log |zeta| at the end less at the start, and the
+        # phase differs from the principal logs' difference by whole turns
+        za, zb = complex(zeros.EXACT_EDGE_SIGMA, y), complex(0.5, y)
+        (la, _), (lb, _) = zeta_log_logderiv(za), zeta_log_logderiv(zb)
+        piece = zeros._simpson_edge(zeta_log_logderiv, za, zb)
+        assert piece.real == lb.real - la.real
+        turns = (piece.imag - (lb.imag - la.imag)) / (2 * math.pi)
+        assert abs(turns - round(turns)) <= 1e-12
 
     def test_edge_whose_quarter_steps_pass_the_guard_is_still_split(self, monkeypatch):
         # the strip piece of the top edge of a rectangle-workload input
@@ -276,6 +305,22 @@ class TestRectangleCount:
         integral = zeros._simpson_edge(linear_phase, 0j, 1 + 0j)
         assert len(calls) == 17
         assert abs(integral - 1j * slope) <= 1e-12
+
+    def test_simpson_check_sees_whole_turns_the_phase_steps_wrap_away(self):
+        # phase (8 pi + 0.1) x on [0, 1]: every quarter step is 2 pi + 0.025
+        # and wraps to 0.025, the end-to-end step to 0.1, so only Simpson's
+        # rule, exact for the constant derivative, sees the four turns; the
+        # guard then splits down to 64 segments of 4 steps each
+        slope = 8 * math.pi + 0.1
+        calls = []
+
+        def linear_phase(z):
+            calls.append(z)
+            return complex(0.0, slope * z.real), complex(0.0, slope)
+
+        integral = zeros._simpson_edge(linear_phase, 0j, 1 + 0j)
+        assert abs(integral - 1j * slope) <= 1e-12
+        assert len(calls) == 64 * 4 + 1
 
     @pytest.mark.parametrize("x_max", [20.0, 30.0, 50.0, 200.0])
     def test_wide_rectangle_to_100(self, x_max):
@@ -346,6 +391,16 @@ class TestRectangleCount:
             Rectangle(1.0, 0.0, 1.0, 2.0)
         with pytest.raises(DomainError):
             Rectangle(0.0, 1.0, -1.0, 2.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["x_min", "x_max", "y_min", "y_max"])
+    def test_non_finite_edge_is_named(self, field, value, monkeypatch):
+        # the error names the argument, before any node blames zeta
+        edges = {"x_min": -0.5, "x_max": 1.5, "y_min": 1.0, "y_max": 30.0, field: value}
+        calls = _count_evaluations(monkeypatch)
+        with pytest.raises(DomainError, match=f"finite {field}"):
+            count_zeros_rectangle(Rectangle(**edges))
+        assert calls == []
 
     def test_nearby_zero_still_resolved(self):
         # a zero 1e-4 below the top edge is resolvable and counted

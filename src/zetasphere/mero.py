@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -18,6 +19,10 @@ from .errors import DegreeNotZero, DomainError
 from .sphere import INFINITY, ExtendedPoint, is_infinity
 
 ROOT_MATCH_TOL = 1e-9
+# a float partial-fraction sum whose parts exceed its value by more than this
+# is redone exactly: its error, some ulps of the parts, would exceed ~1e-12
+# relative
+CANCELLATION_LIMIT = 1024.0
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +262,69 @@ def _poly_derivative(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[1:] * np.arange(1, len(coeffs), dtype=complex)
 
 
-def _series_divide(num: np.ndarray, den: np.ndarray, order: int) -> np.ndarray:
-    if abs(den[0]) == 0:
+class _Exact:
+    """Complex number with rational parts, so sums and quotients of floats
+    carry no rounding."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction):
+        self.re = re
+        self.im = im
+
+    @classmethod
+    def of(cls, z: complex) -> _Exact:
+        z = complex(z)
+        return cls(Fraction(z.real), Fraction(z.imag))
+
+    def __add__(self, other: _Exact) -> _Exact:
+        return _Exact(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: _Exact) -> _Exact:
+        return _Exact(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other: _Exact) -> _Exact:
+        return _Exact(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other: _Exact) -> _Exact:
+        norm = other.re * other.re + other.im * other.im
+        return _Exact(
+            (self.re * other.re + self.im * other.im) / norm,
+            (self.im * other.re - self.re * other.im) / norm,
+        )
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def __complex__(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+
+_ZERO = _Exact.of(0j)
+_ONE = _Exact.of(1 + 0j)
+
+
+def _exact_poly_from_roots(roots: Iterable[tuple[_Exact, int]], lead: _Exact) -> list[_Exact]:
+    coeffs = [lead]
+    for root, mult in roots:
+        for _ in range(mult):
+            # multiply by (w - root), ascending order
+            shifted = [_ZERO] + coeffs
+            for i, c in enumerate(coeffs):
+                shifted[i] = shifted[i] - root * c
+            coeffs = shifted
+    return coeffs
+
+
+def _series_divide(num: list[_Exact], den: list[_Exact], order: int) -> list[_Exact]:
+    if not den[0]:
         raise DomainError("series division by a series with zero constant term")
-    out = np.zeros(order, dtype=complex)
+    out: list[_Exact] = []
     for m in range(order):
-        acc = num[m] if m < len(num) else 0j
-        for j in range(1, m + 1):
-            dj = den[j] if j < len(den) else 0j
-            acc -= dj * out[m - j]
-        out[m] = acc / den[0]
+        acc = num[m] if m < len(num) else _ZERO
+        for j in range(1, min(m, len(den) - 1) + 1):
+            acc = acc - den[j] * out[m - j]
+        out.append(acc / den[0])
     return out
 
 
@@ -277,43 +335,73 @@ def _series_divide(num: np.ndarray, den: np.ndarray, order: int) -> np.ndarray:
 @dataclass(frozen=True)
 class PartialFractions:
     """polynomial part (ascending coefficients) plus principal-part terms
-    (pole, order j, coefficient of 1/(z - pole)^j)."""
+    (pole, order j, coefficient of 1/(z - pole)^j).
+
+    The complex fields are the exact coefficients rounded.  Near poles have
+    large principal parts that cancel far from them; where the float sum
+    has lost more than CANCELLATION_LIMIT in scale, the exact coefficients
+    are summed instead."""
 
     polynomial: tuple[complex, ...]
     terms: tuple[tuple[complex, int, complex], ...]
+    exact: tuple[tuple[_Exact, ...], tuple[tuple[_Exact, int, _Exact], ...]] = field(repr=False, compare=False)
 
     def __call__(self, z: complex) -> complex:
         value = _poly_eval(np.array(self.polynomial, dtype=complex), z)
+        scale = _poly_eval(np.abs(self.polynomial), abs(z)).real
         for pole, order, coeff in self.terms:
-            value += coeff / (z - pole) ** order
-        return value
+            part = coeff / (z - pole) ** order
+            value += part
+            scale += abs(part)
+        if scale <= CANCELLATION_LIMIT * abs(value):
+            return value
+        polynomial, terms = self.exact
+        w = _Exact.of(z)
+        exact = _ZERO
+        for c in reversed(polynomial):
+            exact = exact * w + c
+        for pole, order, coeff in terms:
+            power = _ONE
+            for _ in range(order):
+                power = power * (w - pole)
+            exact = exact + coeff / power
+        return complex(exact)
 
 
 def partial_fractions(f: RationalMap) -> PartialFractions:
-    """Unique presentation by poles: f = p(z) + sum c_ij / (z - p_i)^j."""
-    num = _poly_from_roots(f.zeros, lead=f.constant)
-    den = _poly_from_roots(f.poles)
-    poly = np.zeros(1, dtype=complex)
+    """Unique presentation by poles: f = p(z) + sum c_ij / (z - p_i)^j,
+    computed in exact rational arithmetic from the float roots."""
+    constant = _Exact.of(f.constant)
+    zeros = [(_Exact.of(z), h) for z, h in f.zeros]
+    poles = [(_Exact.of(p), k) for p, k in f.poles]
+    num = _exact_poly_from_roots(zeros, constant)
+    den = _exact_poly_from_roots(poles, _ONE)
+    poly = [_ZERO]
     if len(num) >= len(den):
-        # ascending-order long division: strip leading (highest) terms
-        poly = np.zeros(len(num) - len(den) + 1, dtype=complex)
-        rem = np.array(num, dtype=complex)
+        # ascending-order long division by the monic denominator: strip
+        # leading (highest) terms
+        poly = [_ZERO] * (len(num) - len(den) + 1)
+        rem = list(num)
         for i in range(len(poly) - 1, -1, -1):
-            factor = rem[i + len(den) - 1] / den[-1]
+            factor = rem[i + len(den) - 1]
             poly[i] = factor
-            rem[i : i + len(den)] -= factor * den
+            for j, d in enumerate(den):
+                rem[i + j] = rem[i + j] - factor * d
     terms = []
-    for p_i, k_i in f.poles:
-        # principal part at p_i from the factored form in w = z - p_i; the
-        # expanded coefficients cancel there when another pole is close
-        num_taylor = _poly_from_roots([(z - p_i, h) for z, h in f.zeros], lead=f.constant)
-        other_taylor = _poly_from_roots([(p - p_i, k) for p, k in f.poles if p != p_i])
+    for i, (p_i, k_i) in enumerate(poles):
+        # principal part at p_i from the factored form in w = z - p_i
+        num_taylor = _exact_poly_from_roots([(z - p_i, h) for z, h in zeros], constant)
+        other_taylor = _exact_poly_from_roots([(p - p_i, k) for n, (p, k) in enumerate(poles) if n != i], _ONE)
         series = _series_divide(num_taylor, other_taylor, k_i)
         for j in range(1, k_i + 1):
             coeff = series[k_i - j]
-            if coeff != 0:
-                terms.append((complex(p_i), j, complex(coeff)))
-    return PartialFractions(polynomial=tuple(poly.tolist()), terms=tuple(terms))
+            if coeff:
+                terms.append((p_i, j, coeff))
+    return PartialFractions(
+        polynomial=tuple(complex(c) for c in poly),
+        terms=tuple((complex(p), j, complex(c)) for p, j, c in terms),
+        exact=(tuple(poly), tuple(terms)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,14 @@ class TestPartialFractions:
         z = 5.065835467015868 + 1.0926813193728366j
         assert abs(partial_fractions(f)(z) - evaluate(f, z)) <= 1e-10
 
+    def test_near_double_poles_cancel_exactly(self):
+        # |a-b| = 2^-8: the order-1 parts are 2^25 and cancel to ~1e-3 at z,
+        # so a float sum of the terms is off by ~5e-10
+        f = RationalMap(constant=1 + 0j, poles=((0j, 2), (0.00390625j, 2)))
+        z = 5.065835467015868 + 1.0926813193728366j
+        direct = evaluate(f, z)
+        assert abs(partial_fractions(f)(z) - direct) <= 1e-15 * abs(direct)
+
 
 class TestDerivative:
     def test_zeta_hat_printed_form(self):

@@ -54,7 +54,7 @@ def main():
         print("    (complex%r, complex(%s, %s))," % (s0, fmt(p.real), fmt(p.imag)))
     print(")")
     # log Gamma in 0 < Re s < 1/2, taken by one shift from Re s + 1; out to
-    # Im s = 500, the sign kernel's log Gamma(s/2) at t = 1000
+    # Im s = 500, Hardy Z's log Gamma(s/2) at t = 1000
     print("LOGGAMMA_STRIP = (")
     for s0 in ((0.25, 0.0), (0.001, 0.002), (0.01, 0.5), (0.1, -3.0), (0.25, 7.0),
                (0.4999, 20.0), (0.3, -250.0), (0.25, 500.0)):
@@ -108,6 +108,12 @@ def main():
                (0.8, 610.0), (1.5, -875.25)):
         z = mp.zeta(mp.mpc(*s0))
         print("    (complex%r, complex(%s, %s))," % (s0, fmt(z.real), fmt(z.imag)))
+    print(")")
+    # Hardy's Z(t) = e^(i theta(t)) zeta(1/2 + it) out to t ~ 1000, past
+    # t ~ 945 where the completed zeta on the line underflows: (t, Z(t))
+    print("HARDY_Z = (")
+    for t in (0.0, 14.0, 100.0, 500.0, 960.0, 999.9):
+        print("    (%r, %s)," % (t, fmt(mp.siegelz(t))))
     print(")")
     # left of Re s ~ -141, where Gamma(1-s) alone overflows a direct product
     print("ZETA_FAR_LEFT = (")

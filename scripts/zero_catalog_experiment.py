@@ -25,8 +25,8 @@ def main():
         fh.write(records_to_csv(records))
     print(f"{len(records)} zeros in [0, {args.to}] -> {args.out}")
     for rec in records:
-        print(f"  t = {rec.ordinate:.9f}   |completed zeta| = {rec.residual:.2e}   "
-              f"criterion = {rec.criterion:.9f}")
+        width = rec.bracket[1] - rec.bracket[0]
+        print(f"  t = {rec.ordinate:.9f}   bracket width = {width:.2e}   criterion = {rec.criterion:.9f}")
 
     winding = count_zeros_rectangle(Rectangle(-0.5, 1.5, 1.0, args.to))
     print(f"argument-principle count over [-0.5,1.5]x[1,{args.to}]: {winding} "

@@ -31,7 +31,7 @@ from .zeta import (
     zeta_eval,
 )
 from .modulus import ModulusBreakdown, criterion_ratio, f_abs_closed, f_abs_dx, gamma_abs_dx
-from .zeros import Rectangle, ZeroRecord, count_zeros_rectangle, refine_zero, scan_zeros, z_real
+from .zeros import Rectangle, ZeroRecord, count_zeros_rectangle, hardy_z, refine_zero, scan_zeros
 from .sphere import (
     INFINITY,
     CoverPoint,
@@ -53,7 +53,6 @@ from .mero import (
     derivative,
     divisor_add,
     divisor_degree,
-    divisor_leq,
     divisor_negate,
     evaluate,
     partial_fractions,

@@ -148,9 +148,9 @@ def _cmd_plotdata(args) -> int:
     lines = [zeros.CSV_HEADER]
     if args.what == "zline":
         lo, hi, step = _range_triple(args.range or "0:50:0.05")
-        lines.append("# columns: t,Z  (real restriction of completed zeta to the critical line)")
+        lines.append("# columns: t,Z  (Hardy's Z(t) = e^(i theta(t)) zeta(1/2 + it), real on the critical line)")
         for t in _range_values(lo, hi, step):
-            lines.append(f"{t:.6f},{zeros.z_real(t):.12e}")
+            lines.append(f"{t:.6f},{zeros.hardy_z(t):.12e}")
     else:
         xlo, xhi, xstep = _range_triple(args.range or "0.05:0.95:0.09")
         ylo, yhi, ystep = _range_triple(args.yrange or "-10:10:0.5")

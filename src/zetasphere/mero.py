@@ -89,11 +89,6 @@ def divisor_degree(a: Divisor) -> int:
     return sum(m for _, m in a.items())
 
 
-def divisor_leq(a: Divisor, b: Divisor) -> bool:
-    points = {p for p, _ in a.items()} | {p for p, _ in b.items()}
-    return all(a.multiplicity(p) <= b.multiplicity(p) for p in points)
-
-
 def divisor_to_json(a: Divisor) -> list[dict]:
     out = []
     for p, m in a.items():
@@ -103,15 +98,6 @@ def divisor_to_json(a: Divisor) -> list[dict]:
             out.append({"point": {"re": p.real, "im": p.imag}, "multiplicity": m})
     out.sort(key=lambda row: str(row["point"]))
     return out
-
-
-def divisor_from_json(rows: Iterable[dict]) -> Divisor:
-    support: dict[ExtendedPoint, int] = {}
-    for row in rows:
-        p = row["point"]
-        point = INFINITY if p == "inf" else complex(p["re"], p["im"])
-        support[point] = support.get(point, 0) + int(row["multiplicity"])
-    return Divisor(support)
 
 
 # ---------------------------------------------------------------------------

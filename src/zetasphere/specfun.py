@@ -24,6 +24,9 @@ _LNPI = math.log(math.pi)
 _LN_SQRT_2PI = 0.5 * math.log(2 * math.pi)
 
 POLE_WINDOW = 1e-12
+# past this |Im s|, products holding sin(pi s) or Gamma are taken in log
+# space: those factors leave double range long before the products do
+LOG_SPACE_IM = 20.0
 
 # Lanczos g=7 coefficient set (Godfrey / Boost), ~1e-13 relative on the
 # right half plane.
@@ -141,7 +144,7 @@ def loggamma(s: complex) -> complex:
     the imaginary part is only consistent modulo 2*pi.
 
     Used wherever Gamma itself would leave double range (completed zeta at
-    large |Im s|, the critical-line sign kernel).  For 0 < Re s < 1/2 it is
+    large |Im s|, Hardy's Z on the critical line).  For 0 < Re s < 1/2 it is
     log Gamma(s + 1) - log s, one Lanczos sum and no sine; the reflection
     is kept for Re s <= 0.
     """
@@ -179,7 +182,7 @@ def gamma(s: complex) -> complex:
     k = _nonpositive_integer_index(s)
     if k is not None:
         raise PoleError(-k, residue=(-1.0) ** k / math.factorial(k), index=k)
-    if abs(s.imag) > 20:
+    if abs(s.imag) > LOG_SPACE_IM:
         # sin(pi s) in the reflection overflows long before the value does
         return exp_in_range(loggamma(s), "Gamma", s)
     if s.real < 0.5:
@@ -297,10 +300,10 @@ def reflection_residual(s: complex) -> float:
 
     Both factors go through the raw Lanczos sum (no reflection), so the
     residual genuinely measures approximation error instead of reproducing
-    the reflection identity by construction.  Past |Im s| > 20, where
-    sin(pi s) and the Gammas leave double range long before their product
-    does, the product is taken in log space.  Contract: < 1e-10 in the
-    critical strip off integers, up to |Im s| = 1e4.  DomainError past
+    the reflection identity by construction.  Past |Im s| > LOG_SPACE_IM,
+    where sin(pi s) and the Gammas leave double range long before their
+    product does, the product is taken in log space.  Contract: < 1e-10 in
+    the critical strip off integers, up to |Im s| = 1e4.  DomainError past
     |Im s| = 1e4, where the log-space sum of three terms of size
     ~|t| log |t| keeps only their rounding, and wherever the product itself
     leaves double range.
@@ -311,7 +314,7 @@ def reflection_residual(s: complex) -> float:
     if abs(s.imag) <= POLE_WINDOW and abs(s.real - round(s.real)) <= POLE_WINDOW:
         raise DomainError(f"reflection identity degenerate at integer s={s}")
     strip = 0 < s.real < 1
-    if abs(s.imag) > 20:
+    if abs(s.imag) > LOG_SPACE_IM:
         if strip:
             log_gammas = _loggamma_lanczos(s) + _loggamma_lanczos(1 - s)
         else:

@@ -1,10 +1,12 @@
 """Critical-line zero location and argument-principle rectangle counting.
 
-The scanner works on the real-valued restriction of the completed zeta to
-the critical line.  Sign changes are detected on a uniform grid, then each
-bracket is tightened by bisection: a grid bracket of 0.25 takes
-log2(0.25 / 1e-9) = 28 halvings, 28 kernel evaluations, since its two ends
-come from the grid (30 for a bracket refined on its own).
+The scanner works on Hardy's Z(t) = e^(i theta(t)) zeta(1/2 + it), real on
+the critical line and of the sign of the completed zeta there, without its
+factor e^(Re log P), which underflows past t ~ 945.  Sign changes are
+detected on a uniform grid, then each bracket is tightened by bisection: a
+grid bracket of 0.25 takes log2(0.25 / 1e-9) = 28 halvings, 28 evaluations
+of Z, since its two ends come from the grid (30 for a bracket refined on its
+own).
 
 An independent count of zeros inside a rectangle comes from the winding of
 the completed zeta along the boundary.  Its Gamma factor's part is exact, and
@@ -38,7 +40,7 @@ from .modulus import criterion_ratio
 from .specfun import POLE_WINDOW
 from .zeta import (
     completed_log_prefactor,
-    completed_zeta,
+    completed_zeta,  # not called here: perfbench/spans.py times it as zeros.completed_zeta
     zeta_eval,
     zeta_log_logderiv,
     zeta_log_logderiv_row,
@@ -56,12 +58,11 @@ CSV_HEADER = f"# zetasphere v{__version__}"
 @dataclass(frozen=True)
 class ZeroRecord:
     """A located critical-line zero: its ordinate t (zero at 1/2 + it),
-    the final refinement bracket, |completed zeta| residual there, and the
-    criterion-ratio value (1 exactly when the zero sits on the line)."""
+    the final refinement bracket, whose width is the ordinate's uncertainty,
+    and the criterion-ratio value (1 exactly when the zero sits on the line)."""
 
     ordinate: float
     bracket: tuple[float, float]
-    residual: float
     criterion: float
 
 
@@ -74,7 +75,11 @@ class Rectangle:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int past float range, too long to print
+                finite, value = False, "an int past float range"
+            if not finite:
                 raise DomainError(f"Rectangle needs a finite {name}, got {value}")
         if not self.x_min < self.x_max:
             raise DomainError("Rectangle needs x_min < x_max")
@@ -82,28 +87,24 @@ class Rectangle:
             raise DomainError("Rectangle needs 0 < y_min < y_max (poles sit at y=0)")
 
 
-def z_real(t: float) -> float:
-    """Re of the completed zeta at 1/2 + it, with a realness audit.
+def hardy_z(t: float) -> float:
+    """Hardy's Z(t) = e^(i theta(t)) zeta(1/2 + it), theta(t) = Im log P(1/2 + it)
+    for P(s) = pi^(-s/2) Gamma(s/2) (Edwards, Riemann's Zeta Function, 6.5).
 
-    The imaginary residual must stay below 1e-10 (1 + |Re|); anything larger
-    means the evaluator itself broke, so it raises rather than returns.
+    Z is real and even, Z(0) = zeta(1/2), and it has the sign of the
+    completed zeta on the line.  The imaginary part of e^(i theta) zeta must
+    stay below 1e-10 (1 + |Z|); anything larger means the evaluator itself
+    broke, so it raises RealnessViolation rather than returns.
     """
-    w = completed_zeta(complex(0.5, t))
-    if abs(w.imag) > 1e-10 * (1.0 + abs(w.real)):
-        raise RealnessViolation(
-            f"Im completed zeta at t={t} is {w.imag:.3e}, beyond the realness bound"
-        )
-    return w.real
-
-
-def _sign_kernel(t: float) -> float:
-    """Same sign as z_real(t) with the positive e^(Re log-prefactor) factor
-    stripped, so the scan keeps a usable signal where the completed zeta
-    underflows (t beyond ~900)."""
     s = complex(0.5, t)
-    a = completed_log_prefactor(s)
+    theta = completed_log_prefactor(s).imag
     zv = zeta_eval(s)
-    return math.cos(a.imag) * zv.real - math.sin(a.imag) * zv.imag
+    cos, sin = math.cos(theta), math.sin(theta)
+    z = cos * zv.real - sin * zv.imag
+    imag = sin * zv.real + cos * zv.imag
+    if abs(imag) > 1e-10 * (1.0 + abs(z)):
+        raise RealnessViolation(f"Im e^(i theta) zeta at t={t} is {imag:.3e}, beyond the realness bound")
+    return z
 
 
 def _refine_bracket(a: float, b: float, fa: float, fb: float) -> tuple[float, float]:
@@ -116,7 +117,7 @@ def _refine_bracket(a: float, b: float, fa: float, fb: float) -> tuple[float, fl
         raise NoSignChange(f"no sign change of Z across ({a}, {b})")
     while b - a > BRACKET_TOLERANCE:
         m = 0.5 * (a + b)
-        fm = _sign_kernel(m)
+        fm = hardy_z(m)
         if fm == 0.0:
             return m, m
         if (fm < 0) == a_negative:
@@ -129,28 +130,28 @@ def _refine_bracket(a: float, b: float, fa: float, fb: float) -> tuple[float, fl
 def refine_zero(
     bracket: tuple[float, float], *, ends: tuple[float, float] | None = None
 ) -> ZeroRecord:
-    """Tighten a sign-change bracket to width < 1e-9 and record residual and
+    """Tighten a sign-change bracket of Z to width < 1e-9 and record the
     criterion value at the located ordinate.
 
-    ``ends`` are the kernel values at the two bracket ends when the caller
+    ``ends`` are the values of Z at the two bracket ends when the caller
     already has them (the scan's grid); without them they are evaluated.
     """
     a, b = bracket
     if not a < b:
         raise DomainError("bracket must be an increasing pair")
-    fa, fb = (_sign_kernel(a), _sign_kernel(b)) if ends is None else ends
+    fa, fb = (hardy_z(a), hardy_z(b)) if ends is None else ends
     a, b = _refine_bracket(a, b, fa, fb)
     t = 0.5 * (a + b)
-    residual = abs(completed_zeta(complex(0.5, t)))
-    criterion = criterion_ratio(complex(0.5, abs(t)))
-    return ZeroRecord(ordinate=t, bracket=(a, b), residual=residual, criterion=criterion)
+    return ZeroRecord(ordinate=t, bracket=(a, b), criterion=criterion_ratio(complex(0.5, abs(t))))
 
 
 def scan_zeros(t0: float, t1: float, step: float) -> list[ZeroRecord]:
     """Detect and refine all sign changes of Z on the grid t0, t0+step, ...
 
-    A grid point where the kernel is exactly 0 opens the bracket to its
-    right neighbour; refinement then returns that point itself.
+    A grid point where Z is exactly 0 opens the bracket to its right
+    neighbour only; refinement then returns that point itself.  The grid's
+    cells are disjoint, so each bracket is a zero of its own, however close
+    to the next.
     """
     if not (0.0 <= t0 < t1 <= 1000.0):
         raise DomainError("scan range must satisfy 0 <= t0 < t1 <= 1000")
@@ -160,20 +161,14 @@ def scan_zeros(t0: float, t1: float, step: float) -> list[ZeroRecord]:
     if n_steps < 1:
         return []
     brackets = []
-    prev_t, prev_v = t0, _sign_kernel(t0)
+    prev_t, prev_v = t0, hardy_z(t0)
     for i in range(1, n_steps + 1):
         t = t0 + i * step
-        v = _sign_kernel(t)
+        v = hardy_z(t)
         if prev_v == 0.0 or prev_v * v < 0:
             brackets.append(((prev_t, t), (prev_v, v)))
         prev_t, prev_v = t, v
-    deduped: list[ZeroRecord] = []
-    for bracket, ends in brackets:
-        rec = refine_zero(bracket, ends=ends)
-        if deduped and abs(rec.ordinate - deduped[-1].ordinate) < 10 * BRACKET_TOLERANCE:
-            continue
-        deduped.append(rec)
-    return deduped
+    return [refine_zero(bracket, ends=ends) for bracket, ends in brackets]
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +325,9 @@ def count_zeros_rectangle(rect: Rectangle) -> int:
 
 
 def records_to_csv(records: list[ZeroRecord]) -> str:
-    lines = [CSV_HEADER, "ordinate,residual,criterion"]
+    lines = [CSV_HEADER, "ordinate,criterion"]
     for r in records:
-        lines.append(f"{r.ordinate:.12f},{r.residual:.6e},{r.criterion:.9f}")
+        lines.append(f"{r.ordinate:.12f},{r.criterion:.9f}")
     return "\n".join(lines) + "\n"
 
 
@@ -341,7 +336,6 @@ def records_to_json(records: list[ZeroRecord]) -> str:
         {
             "ordinate": r.ordinate,
             "bracket": list(r.bracket),
-            "residual": r.residual,
             "criterion": r.criterion,
         }
         for r in records

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, PoleError
 from .specfun import (
     EULER_GAMMA,
+    LOG_SPACE_IM,
     POLE_WINDOW,
     _LNPI,
     _logsin_pi,
@@ -269,9 +270,9 @@ def f_factor(s: complex) -> complex:
     """The functional-equation factor f(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s).
 
     PoleError at the positive integers, the poles of Gamma(1-s).  Past
-    |Im s| > 20 (the gamma threshold) the product is taken in log space,
-    where sin(pi s/2) alone would overflow long before f(s) does.  Below it
-    the sine is taken about its nearest zero, so f(-2n) = 0 exactly.  Left
+    |Im s| > LOG_SPACE_IM the product is taken in log space, where
+    sin(pi s/2) alone would overflow long before f(s) does.  Below it the
+    sine is taken about its nearest zero, so f(-2n) = 0 exactly.  Left
     of Re s = -170 and right of Re s = 143, where Gamma(1-s) leaves double
     range long before f(s) does, everything but the sine is taken in log
     space.  DomainError where f(s) itself leaves double range.
@@ -281,7 +282,7 @@ def f_factor(s: complex) -> complex:
         r = round(s.real)
         if r >= 1 and abs(s.real - r) <= POLE_WINDOW:
             raise PoleError(float(r), index=r - 1)
-    if abs(s.imag) > 20:
+    if abs(s.imag) > LOG_SPACE_IM:
         head = s * _LN2 + (s - 1) * _LNPI
         return exp_in_range(head + _logsin_pi(s / 2) + loggamma(1 - s), "f", s)
     sine = sin_pi(s / 2)
@@ -328,8 +329,8 @@ def even_limit_probe(n: int) -> complex:
 
 
 def completed_log_prefactor(s: complex) -> complex:
-    """log(pi^(-s/2) Gamma(s/2)); shared by completed_zeta and the zero
-    scanner's sign kernel."""
+    """log(pi^(-s/2) Gamma(s/2)); shared by completed_zeta, Hardy's Z (its
+    imaginary part on the line is theta(t)) and the rectangle count."""
     return loggamma(s / 2) - (s / 2) * _LNPI
 
 

@@ -31,7 +31,7 @@ GAMMA_NEAR_POLES = (
     (-3.000001, 166666.45729080759, complex(12.023749832480276, -12.566370614359173), 1000001.2559748844),
     (-20.0000001, -4.1103163337475477e-12, complex(-26.217521123533649, -65.973445725385658), 10000002.903662695),
 )
-# log Gamma in 0 < Re s < 1/2, out to Im s = 500 (the sign kernel's
+# log Gamma in 0 < Re s < 1/2, out to Im s = 500 (Hardy Z's
 # log Gamma(s/2) at t = 1000): (s, log Gamma(s))
 LOGGAMMA_STRIP = (
     (complex(0.25, 0.0), complex(1.2880225246980775, 0.0)),
@@ -86,6 +86,16 @@ ZETA_LINE_HIGH = (
     (complex(0.5, 999.5), complex(0.82647382794348790, -0.65286139334042658)),
     (complex(0.8, 610.0), complex(1.0063556955498075, -0.15118991185316671)),
     (complex(1.5, -875.25), complex(1.0168699186502841, 0.095184955501565526)),
+)
+# Hardy's Z(t) = e^(i theta(t)) zeta(1/2 + it) out to t ~ 1000, past t ~ 945
+# where the completed zeta on the line underflows: (t, Z(t))
+HARDY_Z = (
+    (0.0, -1.4603545088095868),
+    (14.0, -0.10562626777988261),
+    (100.0, 2.6926970566644635),
+    (500.0, 1.4724478510550853),
+    (960.0, 4.7251690631734925),
+    (999.9, 0.51468058066850256),
 )
 # left of Re s ~ -141, where Gamma(1-s) alone overflows a direct product
 ZETA_FAR_LEFT = (

@@ -141,10 +141,19 @@ class TestTransport:
 
     def test_divisor_json_interchange(self):
         # flow consumes and produces the divisor JSON the mero module defines
-        from zetasphere.mero import divisor_from_json, divisor_to_json
+        from zetasphere.mero import divisor_to_json
 
-        incoming = divisor_from_json(divisor_to_json(self.homotopy_divisor()))
-        moved = transport_divisor(FlowParams(a=0.2, t=1.0), incoming)
-        payload = divisor_to_json(moved)
-        assert divisor_degree(divisor_from_json(payload)) == 0
-        assert any(row["point"] == "inf" and row["multiplicity"] == -4 for row in payload)
+        moved = transport_divisor(FlowParams(a=0.2, t=1.0), self.homotopy_divisor())
+        # the off-line zeros at 0.2 +- 5i and 0.8 +- 5i land on 0.5 +- 5i
+        expected = Divisor(
+            {
+                complex(0.5, 5): 2,
+                complex(0.5, -5): 2,
+                complex(0.5, T0): 1,
+                complex(0.5, -T0): 1,
+                0j: -1,
+                1 + 0j: -1,
+                INFINITY: -4,
+            }
+        )
+        assert divisor_to_json(moved) == divisor_to_json(expected)

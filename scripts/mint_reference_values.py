@@ -36,6 +36,13 @@ def main():
     print("GAMMA_HALF_PLUS_I = complex(%s, %s)" % (fmt(g.real), fmt(g.imag)))
     print("ABS_GAMMA_HALF_PLUS_I =", fmt(abs(g)))
     print("ABS_GAMMA_ONE_PLUS_I =", fmt(abs(mp.gamma(mp.mpc(1.0, 1.0)))))
+    # the closed-form moduli past pi |y| = 700, where e^(-pi |y|) is subnormal
+    # (y = 230) or 0 (y >= 238) but the moduli stay normal to |y| ~ 451
+    print("ABS_GAMMA_FAR = (")
+    for y in (230.0, 300.0, 450.0):
+        crit, unit = abs(mp.gamma(mp.mpc(0.5, y))), abs(mp.gamma(mp.mpc(1.0, y)))
+        print("    (%r, %s, %s)," % (y, fmt(crit), fmt(unit)))
+    print(")")
     print("DIGAMMA_ONE =", fmt(mp.digamma(1)))
     print("DIGAMMA_TWO =", fmt(mp.digamma(2)))
     # next to the poles, where the reflection's sin(pi s) is a small difference

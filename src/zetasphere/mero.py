@@ -61,9 +61,6 @@ class Divisor:
     def __eq__(self, other):
         return isinstance(other, Divisor) and self._support == other._support
 
-    def __hash__(self):
-        return hash(frozenset(self._support.items()))
-
     def __len__(self):
         return len(self._support)
 
@@ -145,18 +142,19 @@ class RationalMap:
 
 @dataclass(frozen=True)
 class BranchData:
-    """Degree plus ramification points (point, index e >= 2); total branching
-    index b = sum (e - 1)."""
+    """Degree plus ramification points (point, index e >= 2)."""
 
     degree: int
     ramification: tuple[tuple[ExtendedPoint, int], ...]
-    total_b: int
 
     def __post_init__(self):
         if any(e < 2 for _, e in self.ramification):
             raise DomainError("ramification indices must be >= 2")
-        if self.total_b != sum(e - 1 for _, e in self.ramification):
-            raise DomainError("total_b must equal sum of (e - 1)")
+
+    @property
+    def total_b(self) -> int:
+        """The total branching index b = sum (e - 1)."""
+        return sum(e - 1 for _, e in self.ramification)
 
 
 def principal_divisor(f: RationalMap) -> Divisor:
@@ -303,8 +301,8 @@ def _exact_poly_from_roots(roots: Iterable[tuple[_Exact, int]], lead: _Exact) ->
 
 
 def _series_divide(num: list[_Exact], den: list[_Exact], order: int) -> list[_Exact]:
-    if not den[0]:
-        raise DomainError("series division by a series with zero constant term")
+    """The first ``order`` coefficients of num / den.  den[0] is nonzero: it
+    is a product of differences of distinct poles."""
     out: list[_Exact] = []
     for m in range(order):
         acc = num[m] if m < len(num) else _ZERO
@@ -394,23 +392,10 @@ def partial_fractions(f: RationalMap) -> PartialFractions:
 # derivative, critical points, preimages
 
 
-@dataclass(frozen=True)
-class PolyQuotient:
-    """Derivative of a rational map: numerator coefficients (ascending) over
-    the squared pole factors (pole, order)."""
-
-    numerator: tuple[complex, ...]
-    poles: tuple[tuple[complex, int], ...]
-
-    def __call__(self, z: complex) -> complex:
-        value = _poly_eval(np.array(self.numerator, dtype=complex), z)
-        for p, k in self.poles:
-            value /= (z - p) ** k
-        return value
-
-
-def derivative(f: RationalMap) -> PolyQuotient:
-    """(N' D - N D') / D^2 by the quotient rule, unreduced."""
+def derivative(f: RationalMap) -> tuple[complex, ...]:
+    """Numerator coefficients (ascending) of f' = (N' D - N D') / D^2 by the
+    quotient rule, unreduced: the denominator D^2 has each pole at twice its
+    order."""
     num = _poly_from_roots(f.zeros, lead=f.constant)
     den = _poly_from_roots(f.poles)
     dnum = _poly_derivative(num)
@@ -420,11 +405,7 @@ def derivative(f: RationalMap) -> PolyQuotient:
     width = max(len(top), len(bottom))
     top = np.pad(top, (0, width - len(top)))
     bottom = np.pad(bottom, (0, width - len(bottom)))
-    numerator = _poly_trim(top - bottom, tol=1e-14)
-    return PolyQuotient(
-        numerator=tuple(numerator.tolist()),
-        poles=tuple((complex(p), 2 * k) for p, k in f.poles),
-    )
+    return tuple(_poly_trim(top - bottom, tol=1e-14).tolist())
 
 
 def _cluster_roots(roots: Iterable[complex]) -> list[tuple[complex, int]]:
@@ -443,8 +424,7 @@ def _cluster_roots(roots: Iterable[complex]) -> list[tuple[complex, int]]:
 def critical_points(f: RationalMap) -> list[tuple[complex, int]]:
     """Finite critical points: roots (with multiplicity) of the numerator of
     f', minus the copies forced by repeated poles."""
-    quot = derivative(f)
-    num = _poly_trim(np.array(quot.numerator, dtype=complex), tol=1e-13)
+    num = _poly_trim(np.array(derivative(f), dtype=complex), tol=1e-13)
     if len(num) <= 1:
         return []
     roots = np.roots(num[::-1])
@@ -528,9 +508,7 @@ def build_zeta_hat(
     for point, mult in inf_pre:
         if is_infinity(point) and mult >= 2:
             ramification.append((INFINITY, mult))
-    total_b = sum(e - 1 for _, e in ramification)
-    bd = BranchData(degree=rmap.degree, ramification=tuple(ramification), total_b=total_b)
-    return rmap, bd
+    return rmap, BranchData(degree=rmap.degree, ramification=tuple(ramification))
 
 
 def zeta_hat_params(rmap: RationalMap, bd: BranchData) -> dict:

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import DomainError, PoleError
 
 EULER_GAMMA = 0.5772156649015329
 _LNPI = math.log(math.pi)
@@ -172,7 +172,8 @@ def _loggamma_lanczos(s: complex) -> complex:
 
 
 def gamma(s: complex) -> complex:
-    """Gamma(s) with Euler reflection below Re(s) = 1/2.
+    """Gamma(s) with Euler reflection below Re(s) = 1/2, taken in log space
+    past |Im s| = LOG_SPACE_IM and left of Re s = -142.
 
     Raises PoleError at non-positive integers (within 1e-12), carrying the
     pole index k and the residue (-1)^k / k!.  DomainError where the value
@@ -182,13 +183,11 @@ def gamma(s: complex) -> complex:
     k = _nonpositive_integer_index(s)
     if k is not None:
         raise PoleError(-k, residue=(-1.0) ** k / math.factorial(k), index=k)
-    if abs(s.imag) > LOG_SPACE_IM:
-        # sin(pi s) in the reflection overflows long before the value does
+    if abs(s.imag) > LOG_SPACE_IM or s.real < -142:
+        # sin(pi s) or Gamma(1-s) in the reflection overflows long before the
+        # value does
         return exp_in_range(loggamma(s), "Gamma", s)
     if s.real < 0.5:
-        if s.real < -142:
-            # sin(pi s) Gamma(1-s) overflows here; Gamma(s) itself only shrinks
-            return cmath.exp(loggamma(s))
         return math.pi / (sin_pi(s) * gamma(1 - s))
     # the whole power overflows from Re s ~ 142.2, Gamma only from ~171.6
     for halves in (False, True):
@@ -274,60 +273,56 @@ def digamma_series_reference(s: complex) -> complex:
 
 
 def gamma_abs_critical(y: float) -> float:
-    """|Gamma(1/2 + iy)| = sqrt(pi * sech(pi y)) in closed form."""
+    """|Gamma(1/2 + iy)| = sqrt(pi * sech(pi y)) in closed form.
+
+    Past pi |y| = 700, where e^(-pi |y|) underflows, the root is taken
+    first: sqrt(2 pi) e^(-pi |y| / 2), in double range to |y| ~ 451.
+    """
     py = math.pi * abs(y)
     if py > 700:
-        sech = 2.0 * math.exp(-py)
-    else:
-        sech = 1.0 / math.cosh(py)
-    return math.sqrt(math.pi * sech)
+        return math.sqrt(2 * math.pi) * math.exp(-0.5 * py)
+    return math.sqrt(math.pi * (1.0 / math.cosh(py)))
 
 
 def gamma_abs_unit(y: float) -> float:
-    """|Gamma(1 + iy)| = sqrt(y pi * csch(pi y)); limit 1 at y = 0."""
+    """|Gamma(1 + iy)| = sqrt(y pi * csch(pi y)); limit 1 at y = 0.
+
+    Past pi |y| = 700 it is sqrt(2 pi |y|) e^(-pi |y| / 2), as in
+    :func:`gamma_abs_critical`.
+    """
     if abs(y) < 1e-8:
         return 1.0
     py = math.pi * abs(y)
     if py > 700:
-        ratio = abs(y) * math.pi * 2.0 * math.exp(-py)
-    else:
-        ratio = abs(y) * math.pi / math.sinh(py)
-    return math.sqrt(ratio)
+        return math.sqrt(2 * py) * math.exp(-0.5 * py)
+    return math.sqrt(py / math.sinh(py))
 
 
 def reflection_residual(s: complex) -> float:
-    """|Gamma(1-s) Gamma(s) sin(pi s) - pi|.
+    """|Gamma(1-s) Gamma(s) sin(pi s) - pi| in the strip 0 < Re s < 1.
 
     Both factors go through the raw Lanczos sum (no reflection), so the
     residual genuinely measures approximation error instead of reproducing
-    the reflection identity by construction.  Past |Im s| > LOG_SPACE_IM,
-    where sin(pi s) and the Gammas leave double range long before their
-    product does, the product is taken in log space.  Contract: < 1e-10 in
-    the critical strip off integers, up to |Im s| = 1e4.  DomainError past
-    |Im s| = 1e4, where the log-space sum of three terms of size
-    ~|t| log |t| keeps only their rounding, and wherever the product itself
-    leaves double range.
+    the reflection identity by construction.  Off the strip one of the two
+    Gammas could only be had by reflecting the other, which cancels them and
+    leaves sine rounding alone, so a DomainError naming the function is
+    raised there.  Past |Im s| > LOG_SPACE_IM, where sin(pi s) and the
+    Gammas leave double range long before their product does, the product
+    is taken in log space.  Contract: < 1e-10 in the strip off integers, up
+    to |Im s| = 1e4.  DomainError past |Im s| = 1e4, where the log-space sum
+    of three terms of size ~|t| log |t| keeps only their rounding.
     """
     s = finite_argument(s, "reflection_residual")
+    if not 0 < s.real < 1:
+        raise DomainError(f"reflection_residual at s = {s}: needs 0 < Re s < 1")
     if abs(s.imag) > _REFLECTION_MAX_IM:
         raise DomainError(f"reflection residual at s = {s}: |Im s| > {_REFLECTION_MAX_IM:g} loses its accuracy")
     if abs(s.imag) <= POLE_WINDOW and abs(s.real - round(s.real)) <= POLE_WINDOW:
         raise DomainError(f"reflection identity degenerate at integer s={s}")
-    strip = 0 < s.real < 1
     if abs(s.imag) > LOG_SPACE_IM:
-        if strip:
-            log_gammas = _loggamma_lanczos(s) + _loggamma_lanczos(1 - s)
-        else:
-            log_gammas = loggamma(s) + loggamma(1 - s)
-        product = exp_in_range(log_gammas + _logsin_pi(s), "reflection residual", s)
-        return abs(product - math.pi)
-    if strip:
-        g_s = _gamma_lanczos_direct(s)
-        g_1ms = _gamma_lanczos_direct(1 - s)
-    else:
-        g_s = gamma(s)
-        g_1ms = gamma(1 - s)
-    return abs(g_1ms * g_s * cmath.sin(math.pi * s) - math.pi)
+        log_gammas = _loggamma_lanczos(s) + _loggamma_lanczos(1 - s)
+        return abs(cmath.exp(log_gammas + _logsin_pi(s)) - math.pi)
+    return abs(_gamma_lanczos_direct(1 - s) * _gamma_lanczos_direct(s) * cmath.sin(math.pi * s) - math.pi)
 
 
 def psi_pair(s: complex) -> float:
@@ -357,7 +352,4 @@ def psi_pair_series(s: complex) -> float:
     nx = n + x
     total = float(np.sum(((x - 1) * nx + y * y) / ((nx * nx + y * y) * (n + 1))))
     # same tail as the complex series, taken through its real part
-    result = 2.0 * (-EULER_GAMMA + total + _series_tail(s).real)
-    if math.isnan(result):
-        raise ConvergenceError("psi_pair_series did not converge")
-    return result
+    return 2.0 * (-EULER_GAMMA + total + _series_tail(s).real)

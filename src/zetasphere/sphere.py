@@ -22,23 +22,14 @@ CR_STEP = 1e-6  # central-difference step of cr_residual
 
 
 class _InfinityType:
-    """The single point at infinity of the extended plane."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The single point at infinity of the extended plane; equal only to
+    itself.  Copies and pickles resolve to the module's INFINITY by name."""
 
     def __repr__(self):
         return "INFINITY"
 
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("zetasphere.INFINITY")
+    def __reduce__(self):
+        return "INFINITY"
 
 
 INFINITY = _InfinityType()

@@ -88,18 +88,15 @@ def first_zero() -> zeros.ZeroRecord:
 
 
 def _strip_grid(n_x: int, n_y: int, y_max: float):
-    """Deterministic strip grid avoiding the pole ordinate row and the
-    known zero ordinates below y_max."""
-    avoid = [14.134725, 21.022040, 25.010858, 30.424876, 32.935062]
-    pts = []
-    for i in range(n_x):
-        x = 0.06 + 0.88 * i / max(n_x - 1, 1)
-        for j in range(n_y):
-            y = -y_max + 2 * y_max * (j + 0.37) / n_y
-            if abs(y) < 0.2 or any(abs(abs(y) - t) < 0.45 for t in avoid):
-                y += 0.5
-            pts.append(complex(x, y))
-    return tuple(pts)
+    """Deterministic n_x by n_y grid on 0.06 <= x <= 0.94, |y| < y_max.  Its
+    rows sit 0.37 of a cell into each cell, which for the two grids below
+    keeps every point 0.2 or more off the real axis and 0.45 or more off
+    the first five zero ordinates."""
+    return tuple(
+        complex(0.06 + 0.88 * i / (n_x - 1), -y_max + 2 * y_max * (j + 0.37) / n_y)
+        for i in range(n_x)
+        for j in range(n_y)
+    )
 
 
 # built once per process: the functional and modulus suites read them on every run
@@ -341,8 +338,6 @@ def suite_divisors() -> list[VerificationItem]:
     for k in range(50):
         z = complex(math.cos(0.7 * k) * 4, math.sin(1.3 * k) * 4)
         val = mero.evaluate(f, z)
-        if sphere.is_infinity(val) or abs(val) < 1e-6:
-            continue
         worst = max(worst, abs(pf(z) - val) / abs(val))
     items.append(make_item("partial-fractions/reconstruction max rel (50 pts)", 0.0, worst, 1e-10))
 
@@ -382,7 +377,7 @@ def suite_hurwitz() -> list[VerificationItem]:
     items.append(make_item("zetahat/divisor degree = 0", 0.0, float(mero.divisor_degree(mero.principal_divisor(rmap))), 0.0))
     items.append(make_item("hurwitz/2 = 2*2 - [1+1]", 1.0, float(mero.riemann_hurwitz_check(bd, 2, 2)), 0.5))
     items.append(make_item("hurwitz/total branching index even", 0.0, float(bd.total_b % 2), 0.0))
-    items.append(make_item("hurwitz/odd-b rejected", 0.0, float(mero.riemann_hurwitz_check(mero.BranchData(2, ((0.5 + 0j, 2),), 1), 2, 2)), 0.0))
+    items.append(make_item("hurwitz/odd-b rejected", 0.0, float(mero.riemann_hurwitz_check(mero.BranchData(2, ((0.5 + 0j, 2),)), 2, 2)), 0.0))
 
     generic = mero.preimages(rmap, 1 + 1j)
     items.append(make_item("zetahat/generic preimage count = 2", 2.0, float(len(generic)), 0.0))
@@ -390,8 +385,8 @@ def suite_hurwitz() -> list[VerificationItem]:
     items.append(make_item("zetahat/preimages of zetahat(1/2) = 1", 1.0, float(len(mero.preimages(rmap, branch_val))), 0.0))
     items.append(make_item("zetahat/preimages of zetahat(inf) = 1", 1.0, float(len(mero.preimages(rmap, mero.evaluate(rmap, sphere.INFINITY)))), 0.0))
 
-    quot = mero.derivative(rmap)
-    ratio = (quot.numerator[0] / quot.numerator[1]).real
+    numerator = mero.derivative(rmap)
+    ratio = (numerator[0] / numerator[1]).real
     items.append(make_item("zetahat/derivative numerator ratio q/(-2q) = -1/2", -0.5, ratio, 1e-12))
     crit = mero.critical_points(rmap)
     items.append(make_item("zetahat/unique finite critical point at 1/2", 0.5, crit[0][0].real if len(crit) == 1 else math.inf, 1e-9))

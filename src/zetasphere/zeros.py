@@ -158,8 +158,6 @@ def scan_zeros(t0: float, t1: float, step: float) -> list[ZeroRecord]:
     if not 0.01 <= step <= 1.0:
         raise DomainError("scan step must lie in [0.01, 1]")
     n_steps = int(math.floor((t1 - t0) / step + 1e-9))
-    if n_steps < 1:
-        return []
     brackets = []
     prev_t, prev_v = t0, hardy_z(t0)
     for i in range(1, n_steps + 1):

@@ -442,8 +442,6 @@ def even_zeta_rational(k: int) -> Fraction:
 
 def primes_below(bound: int) -> np.ndarray:
     """The primes p < bound, ascending, from a boolean sieve."""
-    if bound < 3:
-        return np.array([], dtype=np.intp)
     sieve = np.ones(bound, dtype=bool)
     sieve[:2] = False
     for p in range(2, int(bound**0.5) + 1):

@@ -10,6 +10,13 @@ GAMMA_QUARTER = 3.6256099082219083
 GAMMA_HALF_PLUS_I = complex(0.30069461726065582, -0.42496787943312381)
 ABS_GAMMA_HALF_PLUS_I = 0.52059096361675195
 ABS_GAMMA_ONE_PLUS_I = 0.52156404686493984
+# the closed-form moduli past pi |y| = 700, where e^(-pi |y|) is subnormal
+# (y = 230) or 0 (y >= 238): (y, |Gamma(1/2 + iy)|, |Gamma(1 + iy)|)
+ABS_GAMMA_FAR = (
+    (230.0, 3.1319097756303707e-157, 4.7497763461225078e-156),
+    (300.0, 5.5288761029077282e-205, 9.5762943189895978e-204),
+    (450.0, 2.5966314910526058e-307, 5.5082872066975007e-306),
+)
 DIGAMMA_ONE = -0.57721566490153286
 DIGAMMA_TWO = 0.42278433509846714
 # psi at the gamma suite's series cross-check points, left of the poles, far

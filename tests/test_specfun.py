@@ -19,6 +19,7 @@ from zetasphere.specfun import (
 )
 
 from reference_values import (
+    ABS_GAMMA_FAR,
     ABS_GAMMA_HALF_PLUS_I,
     ABS_GAMMA_ONE_PLUS_I,
     DIGAMMA_ONE,
@@ -105,6 +106,12 @@ class TestGamma:
         for x in (150.0, 160.0):
             assert abs(gamma(x) - math.gamma(x)) <= 1e-13 * math.gamma(x)
 
+    @pytest.mark.parametrize("x", [-150.5, -143.7])
+    def test_far_left_of_the_reflection(self, x):
+        # Gamma(1 - s) alone overflows from Re s ~ -142; Gamma(s) there is
+        # taken in log space
+        assert abs(gamma(x).real - math.gamma(x)) <= 1e-13 * abs(math.gamma(x))
+
     def test_value_beyond_double_range_is_typed(self):
         with pytest.raises(ZetasphereError):
             gamma(172.0)
@@ -147,6 +154,13 @@ class TestClosedFormModuli:
         for y in (0.5, 1.0, 2.0, -7.5, 20.0, 50.0):
             assert abs(gamma_abs_unit(y) - abs(gamma(complex(1.0, y)))) <= 1e-10 * gamma_abs_unit(y)
 
+    @pytest.mark.parametrize("y, critical, unit", ABS_GAMMA_FAR)
+    def test_moduli_where_the_exponential_underflows(self, y, critical, unit):
+        # e^(-pi y) is subnormal at y = 230 and 0 from y ~ 238 on
+        for sign in (1, -1):
+            assert gamma_abs_critical(sign * y) == pytest.approx(critical, rel=1e-13, abs=0)
+            assert gamma_abs_unit(sign * y) == pytest.approx(unit, rel=1e-13, abs=0)
+
 
 class TestReflection:
     def test_half(self):
@@ -178,10 +192,15 @@ class TestReflection:
             with pytest.raises(DomainError, match="reflection residual"):
                 reflection_residual(complex(x, math.nextafter(t, 2 * t)))
 
-    def test_product_beyond_double_range_is_typed(self):
-        # the log-space product's rounding at |s| ~ 1.9e18 leaves double range
-        with pytest.raises(DomainError, match="reflection residual"):
-            reflection_residual(complex(1.8528503476184187e18, -2462.416861073777))
+    @pytest.mark.parametrize(
+        "s",
+        [complex(1.5, 2.0), complex(-0.5, 3.0), complex(1.8528503476184187e18, -2462.416861073777)],
+        ids=["right", "left", "far-right"],
+    )
+    def test_off_strip_rejected(self, s):
+        # off the strip one Gamma is the other reflected, so they cancel
+        with pytest.raises(DomainError, match="reflection_residual"):
+            reflection_residual(s)
 
 
 class TestDigamma:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -26,6 +28,16 @@ from reference_values import GAP_1_2, ZERO_ORDINATES
 def circular_gap(a: float, b: float) -> float:
     d = abs(a - b) % 1.0
     return min(d, 1.0 - d)
+
+
+class TestInfinity:
+    def test_copies_are_the_one_point(self):
+        assert copy.copy(INFINITY) is INFINITY
+        assert copy.deepcopy(INFINITY) is INFINITY
+        assert copy.deepcopy({INFINITY: -2})[INFINITY] == -2
+
+    def test_pickle_round_trip_is_the_one_point(self):
+        assert pickle.loads(pickle.dumps(INFINITY)) is INFINITY
 
 
 class TestStereo:

@@ -126,6 +126,12 @@ class TestScan:
         assert records[0].ordinate == pytest.approx(1.0 - 4e-9, abs=zeros.BRACKET_TOLERANCE)
         assert records[1].ordinate == pytest.approx(1.0 + 4e-9, abs=zeros.BRACKET_TOLERANCE)
 
+    def test_exact_zero_at_a_grid_point(self, monkeypatch):
+        # the bracket opens to the right neighbour only and closes on the point
+        monkeypatch.setattr(zeros, "hardy_z", lambda t: t - 1.0)
+        records = scan_zeros(0.0, 2.0, 0.25)
+        assert [(r.ordinate, r.bracket) for r in records] == [(1.0, (1.0, 1.0))]
+
     def test_empty_below_first_zero(self):
         assert scan_zeros(0.0, 10.0, 0.25) == []
 

@@ -122,6 +122,13 @@ def main():
     for t in (0.0, 14.0, 100.0, 500.0, 960.0, 999.9):
         print("    (%r, %s)," % (t, fmt(mp.siegelz(t))))
     print(")")
+    # the Riemann-Siegel theta(t) either side of t = 10, where Hardy's Z
+    # switches from log Gamma to theta's Stirling series, and out to 10^4:
+    # (t, theta(t))
+    print("THETA = (")
+    for t in (0.0, 9.999, 10.0, 14.134725141734693, 100.0, 1000.0, 7005.06, 1e4):
+        print("    (%r, %s)," % (t, fmt(mp.siegeltheta(t))))
+    print(")")
     # left of Re s ~ -141, where Gamma(1-s) alone overflows a direct product
     print("ZETA_FAR_LEFT = (")
     for x in (-141.25, -201.0):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -46,9 +47,14 @@ def _range_triple(text: str) -> tuple[float, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ZetasphereError(f"range must be start:stop:step, got {text!r}")
-    lo, hi, step = (float(p) for p in parts)
-    if step <= 0 or hi < lo:
+    try:
+        lo, hi, step = (float(p) for p in parts)
+    except ValueError:
+        raise ZetasphereError(f"bad range {text!r}: each part must be a number") from None
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise ZetasphereError(f"bad range {text!r}")
+    if not math.isfinite((hi - lo) / step):  # finite parts, a count past float range
+        raise ZetasphereError(f"bad range {text!r}: too many points")
     return lo, hi, step
 
 

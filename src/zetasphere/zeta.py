@@ -137,22 +137,21 @@ def _accel_coeffs(n: int):
     return coeffs, coeffs * _power_table(n)[0]
 
 
-def _accel_terms_needed(t_abs: float, tol: float) -> int:
-    n = (math.pi * t_abs / 2 + math.log(3.0 * (1 + 2 * t_abs)) - math.log(tol)) / _ACCEL_RATE
-    n = int(n) + 8
-    return ((n + 31) // 32) * 32
-
-
 def _eta_weights(s: complex):
     """The weights and the log-weighted weights of eta's accelerated sum at
     a finite s, after the domain and term-cap checks; the term count depends
     on Im s alone."""
     if s.real <= 0:
         raise DomainError(f"eta series requires Re(s) > 0, got {s}")
-    n = _accel_terms_needed(abs(s.imag), _ETA_TOLERANCE)
-    if n > _ETA_MAX_TERMS:
-        raise ConvergenceError(f"eta at {s} needs {n} accelerated terms > {_ETA_MAX_TERMS}")
-    return _accel_coeffs(n)
+    t_abs = abs(s.imag)
+    n = (math.pi * t_abs / 2 + math.log(3.0 * (1 + 2 * t_abs)) - math.log(_ETA_TOLERANCE)) / _ACCEL_RATE
+    # the cap is checked on the float, whose int() overflows: it is inf from
+    # |Im s| ~ 1.15e308
+    if n + 8 > _ETA_MAX_TERMS:
+        raise ConvergenceError(f"eta at {s} needs {n + 8:.3g} accelerated terms > {_ETA_MAX_TERMS}")
+    # 8 spare terms, rounded up to a multiple of 32, which keeps
+    # _accel_coeffs' cache small
+    return _accel_coeffs(((int(n) + 8 + 31) // 32) * 32)
 
 
 def _eta_sum(s: complex) -> complex:
@@ -329,8 +328,10 @@ def even_limit_probe(n: int) -> complex:
 
 
 def completed_log_prefactor(s: complex) -> complex:
-    """log(pi^(-s/2) Gamma(s/2)); shared by completed_zeta, Hardy's Z (its
-    imaginary part on the line is theta(t)) and the rectangle count."""
+    """log(pi^(-s/2) Gamma(s/2)); shared by completed_zeta and verify's
+    completed-symmetry check.  Its imaginary part on the line is theta(t),
+    which zeros.theta takes from here only for |t| < 10, where theta's
+    Stirling series is not yet below rounding."""
     return loggamma(s / 2) - (s / 2) * _LNPI
 
 

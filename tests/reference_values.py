@@ -104,6 +104,18 @@ HARDY_Z = (
     (960.0, 4.7251690631734925),
     (999.9, 0.51468058066850256),
 )
+# the Riemann-Siegel theta(t) either side of t = 10, where Hardy's Z switches
+# from log Gamma to theta's Stirling series, and out to 10^4: (t, theta(t))
+THETA = (
+    (0.0, 0.0),
+    (9.999, -3.0673065165815853),
+    (10.0, -3.0670743962898953),
+    (14.134725141734693, -1.7286702466758382),
+    (100.0, 87.972165231787220),
+    (1000.0, 2034.5464280380316),
+    (7005.06, 21072.617428339665),
+    (10000.0, 31861.923830835821),
+)
 # left of Re s ~ -141, where Gamma(1-s) alone overflows a direct product
 ZETA_FAR_LEFT = (
     (-141.25, -3.4807542425883930e+130),

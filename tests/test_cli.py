@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -268,8 +269,13 @@ class TestPlotdata:
         assert proc.returncode == 2
 
     def test_bad_range(self):
-        proc = run_cli("plotdata", "--what", "zline", "--range", "0:50")
-        assert proc.returncode == 2
+        # an unparsable or non-finite part is the typed error too, which
+        # names no Python exception
+        for text in ("0:50", "a:b:c", "nan:1:0.1", "0:1:nan", "0:inf:1", "0:1e300:1e-300"):
+            proc = run_cli("plotdata", "--what", "zline", "--range", text)
+            assert proc.returncode == 2, text
+            assert proc.stderr.startswith("error: ") and repr(text) in proc.stderr, proc.stderr
+            assert not re.search(r"\w+(Error|Exception)\b", proc.stderr), proc.stderr
 
     def test_deterministic_output(self):
         a = run_cli("plotdata", "--what", "zline", "--range", "0:5:0.5").stdout

@@ -18,16 +18,52 @@ from zetasphere.zeros import (
     records_to_json,
     refine_zero,
     scan_zeros,
+    theta,
 )
 
 from reference_values import (
     ETA_DENOM_ZERO_IM,
     HARDY_Z,
+    THETA,
     ZERO_ORDINATES,
     ZEROS_BELOW_100,
     ZEROS_BELOW_1000,
     ZETA_HALF,
 )
+
+
+class TestTheta:
+    """theta(t) = Im log P(1/2 + it): the Stirling series from |t| = 10 on,
+    log Gamma below."""
+
+    @pytest.mark.parametrize("t, value", THETA)
+    def test_matches_mpmath_siegeltheta(self, t, value):
+        assert abs(theta(t) - value) <= 2e-14 * max(1.0, abs(value))
+
+    @pytest.mark.parametrize("t, _", THETA)
+    def test_odd_in_t(self, t, _):
+        assert theta(-t) == -theta(t)
+
+    def test_step_across_the_switch(self):
+        below = theta(math.nextafter(zeros.THETA_SERIES_FROM, 0.0))
+        assert abs(theta(zeros.THETA_SERIES_FROM) - below) < 5e-14
+
+    @pytest.mark.parametrize("t", [10.0, 14.134725141734693, 31.5, 230.28102574805342, 999.9, 7005.06, 1e4])
+    def test_series_agrees_with_log_gamma(self, t):
+        value = theta(t)
+        assert abs(value - completed_log_prefactor(complex(0.5, t)).imag) <= 5e-14 * max(1.0, abs(value))
+
+    def test_log_gamma_is_taken_only_below_the_switch(self, monkeypatch):
+        class LogGammaTaken(Exception):
+            pass
+
+        def fail(s):
+            raise LogGammaTaken(s)
+
+        monkeypatch.setattr(zeros, "completed_log_prefactor", fail)
+        assert hardy_z(14.0) == pytest.approx(dict(HARDY_Z)[14.0], abs=1e-11)
+        with pytest.raises(LogGammaTaken):
+            hardy_z(5.0)
 
 
 class TestZReal:

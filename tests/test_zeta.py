@@ -9,6 +9,7 @@ import pytest
 from zetasphere import zeta
 from zetasphere.errors import ConvergenceError, DomainError, PoleError, ZetasphereError
 from zetasphere.specfun import _LNPI, digamma, gamma
+from zetasphere.zeros import hardy_z
 from zetasphere.zeta import (
     _SPLIT_MIN_TERMS,
     _eta_weights,
@@ -66,6 +67,21 @@ class TestEta:
         # weight is computed
         with pytest.raises(ConvergenceError):
             eta_eval(complex(0.5, 3e7))
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [zeta_eval, eta_eval, zeta_log_logderiv, completed_zeta, lambda s: hardy_z(s.imag)],
+        ids=["zeta_eval", "eta_eval", "zeta_log_logderiv", "completed_zeta", "hardy_z"],
+    )
+    def test_term_count_past_float_range_is_a_convergence_error(self, evaluate):
+        # pi |t| / 2 is inf from |t| ~ 1.15e308; the count is checked
+        # against the cap before it becomes an int, which would overflow
+        with pytest.raises(ConvergenceError, match=r"needs inf accelerated terms"):
+            evaluate(complex(0.5, 1.7e308))
+
+    def test_term_count_is_printed_short(self):
+        with pytest.raises(ConvergenceError, match=r"needs 8\.91e\+299 accelerated terms"):
+            eta_eval(complex(0.5, 1e300))
 
     @pytest.mark.parametrize(
         "s", [complex(0.5, 14.134725), complex(0.5, 450.0), complex(0.5, 1000.0), complex(2.0, 30.0)]

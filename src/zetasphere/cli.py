@@ -29,6 +29,11 @@ _EVAL_FUNCTIONS = {
     "digamma": digamma,
 }
 
+# plotdata rows per request; a grid past this is a typo in a step, and its
+# rows would fill memory before the first is printed
+MAX_ROWS = 10**6
+
+
 def parse_complex(text: str) -> complex:
     """Accept '2', '-1.5', '0.5+14.13i', '1-2i', 'i', '3i' (i or j)."""
     cleaned = text.strip().replace(" ", "").replace("j", "i")
@@ -58,9 +63,17 @@ def _range_triple(text: str) -> tuple[float, float, float]:
     return lo, hi, step
 
 
-def _range_values(lo: float, hi: float, step: float) -> list[float]:
-    count = int(round((hi - lo) / step)) + 1
-    return [lo + i * step for i in range(count) if lo + i * step <= hi + 1e-9 * step]
+def _grid_values(*ranges: str) -> list[list[float]]:
+    """The values of each start:stop:step range, refused before any is built
+    when their grid would pass MAX_ROWS rows."""
+    triples = [_range_triple(text) for text in ranges]
+    counts = [int(round((hi - lo) / step)) + 1 for lo, hi, step in triples]
+    if math.prod(counts) > MAX_ROWS:
+        raise ZetasphereError(f"bad range {' x '.join(map(repr, ranges))}: too many points (over {MAX_ROWS} rows)")
+    return [
+        [lo + i * step for i in range(count) if lo + i * step <= hi + 1e-9 * step]
+        for (lo, hi, step), count in zip(triples, counts)
+    ]
 
 
 def _cmd_eval(args) -> int:
@@ -153,21 +166,20 @@ def _cmd_extend(args) -> int:
 def _cmd_plotdata(args) -> int:
     lines = [zeros.CSV_HEADER]
     if args.what == "zline":
-        lo, hi, step = _range_triple(args.range or "0:50:0.05")
+        (ts,) = _grid_values(args.range or "0:50:0.05")
         lines.append("# columns: t,Z  (Hardy's Z(t) = e^(i theta(t)) zeta(1/2 + it), real on the critical line)")
-        for t in _range_values(lo, hi, step):
+        for t in ts:
             lines.append(f"{t:.6f},{zeros.hardy_z(t):.12e}")
     else:
-        xlo, xhi, xstep = _range_triple(args.range or "0.05:0.95:0.09")
-        ylo, yhi, ystep = _range_triple(args.yrange or "-10:10:0.5")
+        xs, ys = _grid_values(args.range or "0.05:0.95:0.09", args.yrange or "-10:10:0.5")
         if args.what == "fabs":
             lines.append("# columns: x,y,abs_f  (closed-form |f| on the open strip)")
             fn = lambda s: modulus.f_abs_closed(s).product
         else:
             lines.append("# columns: x,y,abs_zeta")
             fn = lambda s: abs(zeta_eval(s))
-        for x in _range_values(xlo, xhi, xstep):
-            for y in _range_values(ylo, yhi, ystep):
+        for x in xs:
+            for y in ys:
                 lines.append(f"{x:.6f},{y:.6f},{fn(complex(x, y)):.12e}")
     payload = "\n".join(lines) + "\n"
     if args.out:

@@ -1,8 +1,11 @@
 """Divisor algebra and rational maps on the extended plane.
 
 Rational maps live in factored (root) form: leading constant plus zero and
-pole multisets.  That keeps divisors exact; coefficient expansion happens
-only inside partial fractions and differentiation.
+pole multisets.  That keeps divisors exact, and it gives the derivative,
+the critical points and the preimages of 0 and infinity with their exact
+multiplicities at repeated zeros and poles.  Coefficient expansion happens
+only inside partial fractions, the log-derivative numerator and the
+preimages of other values.
 """
 
 from __future__ import annotations
@@ -240,12 +243,6 @@ def _poly_eval(coeffs: np.ndarray, z: complex) -> complex:
     return acc
 
 
-def _poly_derivative(coeffs: np.ndarray) -> np.ndarray:
-    if len(coeffs) <= 1:
-        return np.zeros(1, dtype=complex)
-    return coeffs[1:] * np.arange(1, len(coeffs), dtype=complex)
-
-
 class _Exact:
     """Complex number with rational parts, so sums and quotients of floats
     carry no rounding."""
@@ -392,20 +389,26 @@ def partial_fractions(f: RationalMap) -> PartialFractions:
 # derivative, critical points, preimages
 
 
+def _log_derivative_numerator(f: RationalMap) -> np.ndarray:
+    """Ascending coefficients of Q = sum_i w_i prod_{j != i} (z - a_j) over
+    the distinct zeros and poles a_i, w_i = h_i at a zero and -k_i at a pole,
+    so that f'/f = Q / prod (z - a_i).  Q(a_i) = w_i prod_{j != i} (a_i - a_j)
+    is never 0."""
+    points = [(complex(z), h) for z, h in f.zeros] + [(complex(p), -k) for p, k in f.poles]
+    q = np.zeros(max(len(points), 1), dtype=complex)
+    for i, (_, w) in enumerate(points):
+        term = _poly_from_roots([(a, 1) for j, (a, _) in enumerate(points) if j != i], lead=w)
+        q[: len(term)] += term
+    return _poly_trim(q, tol=1e-13)
+
+
 def derivative(f: RationalMap) -> tuple[complex, ...]:
-    """Numerator coefficients (ascending) of f' = (N' D - N D') / D^2 by the
-    quotient rule, unreduced: the denominator D^2 has each pole at twice its
-    order."""
-    num = _poly_from_roots(f.zeros, lead=f.constant)
-    den = _poly_from_roots(f.poles)
-    dnum = _poly_derivative(num)
-    dden = _poly_derivative(den)
-    top = np.convolve(dnum, den)
-    bottom = np.convolve(num, dden)
-    width = max(len(top), len(bottom))
-    top = np.pad(top, (0, width - len(top)))
-    bottom = np.pad(bottom, (0, width - len(bottom)))
-    return tuple(_poly_trim(top - bottom, tol=1e-14).tolist())
+    """Numerator coefficients (ascending) of
+    f' = c prod (z - z_i)^(h_i - 1) Q / prod (z - p_j)^(k_j + 1), with Q the
+    log-derivative numerator; the form is reduced, as Q vanishes at no zero
+    or pole."""
+    repeated = _poly_from_roots([(z, h - 1) for z, h in f.zeros], lead=f.constant)
+    return tuple(np.convolve(repeated, _log_derivative_numerator(f)).tolist())
 
 
 def _cluster_roots(roots: Iterable[complex]) -> list[tuple[complex, int]]:
@@ -422,46 +425,34 @@ def _cluster_roots(roots: Iterable[complex]) -> list[tuple[complex, int]]:
 
 
 def critical_points(f: RationalMap) -> list[tuple[complex, int]]:
-    """Finite critical points: roots (with multiplicity) of the numerator of
-    f', minus the copies forced by repeated poles."""
-    num = _poly_trim(np.array(derivative(f), dtype=complex), tol=1e-13)
-    if len(num) <= 1:
-        return []
-    roots = np.roots(num[::-1])
-    clustered = _cluster_roots(roots)
-    out = []
-    for point, mult in clustered:
-        for p, k in f.poles:
-            if k >= 2 and abs(point - complex(p)) <= ROOT_MATCH_TOL * max(1.0, abs(p)) * 100:
-                mult -= k - 1
-                break
-        if mult > 0:
-            out.append((point, mult))
+    """Finite critical points with multiplicity: a zero of order h >= 2
+    exactly h - 1 times, then the roots of the log-derivative numerator Q."""
+    out = [(complex(z), h - 1) for z, h in f.zeros if h >= 2]
+    q = _log_derivative_numerator(f)
+    if len(q) > 1:
+        out += _cluster_roots(np.roots(q[::-1]))
     return out
 
 
 def preimages(f: RationalMap, w: ExtendedPoint) -> list[tuple[ExtendedPoint, int]]:
-    """Solutions of f(s) = w with multiplicity, infinity included."""
+    """Solutions of f(s) = w with multiplicity, infinity included.  Those of
+    0 and infinity are the stored zeros and poles."""
     if is_infinity(w):
-        out: list[tuple[ExtendedPoint, int]] = [(complex(p), k) for p, k in f.poles]
-        diff = f.zero_count - f.pole_count
-        if diff > 0:
-            out.append((INFINITY, diff))
-        return out
-    num = _poly_from_roots(f.zeros, lead=f.constant)
-    den = _poly_from_roots(f.poles)
-    width = max(len(num), len(den))
-    num = np.pad(num, (0, width - len(num)))
-    den = np.pad(den, (0, width - len(den)))
-    poly = _poly_trim(num - complex(w) * den, tol=1e-14)
-    nominal = f.degree
-    out = []
-    if len(poly) > 1:
-        roots = np.roots(poly[::-1])
-        out = [(complex(r), m) for r, m in _cluster_roots(roots)]
-    drop = nominal - (len(poly) - 1)
-    if drop > 0:
-        out.append((INFINITY, drop))
+        found, at_infinity = f.poles, f.zero_count - f.pole_count
+    elif w == 0:
+        found, at_infinity = f.zeros, f.pole_count - f.zero_count
+    else:
+        num = _poly_from_roots(f.zeros, lead=f.constant)
+        den = _poly_from_roots(f.poles)
+        width = max(len(num), len(den))
+        num = np.pad(num, (0, width - len(num)))
+        den = np.pad(den, (0, width - len(den)))
+        poly = _poly_trim(num - complex(w) * den, tol=1e-14)
+        found = _cluster_roots(np.roots(poly[::-1])) if len(poly) > 1 else []
+        at_infinity = f.degree - (len(poly) - 1)
+    out: list[tuple[ExtendedPoint, int]] = [(complex(a), m) for a, m in found]
+    if at_infinity > 0:
+        out.append((INFINITY, at_infinity))
     return out
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from zetasphere.cli import _EVAL_FUNCTIONS, main, parse_complex
+from zetasphere.cli import _EVAL_FUNCTIONS, MAX_ROWS, _grid_values, main, parse_complex
 from zetasphere.errors import ZetasphereError
 
 from reference_values import ZETA_REFLECTED_HIGH
@@ -34,6 +34,9 @@ def run_cli(*argv, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        # a command that runs away (say, building an uncapped grid) fails
+        # its test instead of filling memory
+        timeout=300,
     )
     return proc
 
@@ -276,6 +279,27 @@ class TestPlotdata:
             assert proc.returncode == 2, text
             assert proc.stderr.startswith("error: ") and repr(text) in proc.stderr, proc.stderr
             assert not re.search(r"\w+(Error|Exception)\b", proc.stderr), proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--what", "zline", "--range", "0:1e12:1"),
+            ("--what", "fabs", "--range", "0:1999:1", "--yrange", "0:1999:1"),
+        ],
+    )
+    def test_too_many_rows(self, argv):
+        # refused before a row is built: 10^12 rows, and a 2000 x 2000 grid
+        # of ranges that are each small enough alone
+        proc = run_cli("plotdata", *argv)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: bad range") and "too many points" in proc.stderr, proc.stderr
+        assert proc.stdout == ""
+
+    def test_row_cap_is_inclusive(self):
+        xs, ys = _grid_values("0:999:1", "0:999:1")
+        assert len(xs) * len(ys) == MAX_ROWS
+        with pytest.raises(ZetasphereError, match="too many points"):
+            _grid_values("0:1000:1", "0:999:1")
 
     def test_deterministic_output(self):
         a = run_cli("plotdata", "--what", "zline", "--range", "0:5:0.5").stdout

@@ -25,6 +25,8 @@ from zetasphere.mero import (
     zeta_hat_params,
 )
 from zetasphere.sphere import INFINITY, is_infinity
+from zetasphere.verify import first_zero
+from zetasphere.zeta import completed_zeta
 
 from reference_values import C_COMPUTED_ANCHOR, C_PAPER_INPUTS, COMPLETED_HALF, ZERO_ORDINATES
 
@@ -215,6 +217,20 @@ class TestDerivative:
         assert point.real == pytest.approx(0.5, abs=1e-9)
         assert mult == 1
 
+    def test_zeta_hat_critical_point_is_exactly_half(self):
+        # the computed first zero and completed zeta at 1/2, as in verify and
+        # extend; f'/f's numerator is q (1 - 2z) up to rounding in q, so its
+        # root is 1/2 to the bit
+        rmap, _ = build_zeta_hat(first_zero().ordinate, completed_zeta(0.5 + 0j).real)
+        assert critical_points(rmap) == [(0.5, 1)]
+
+    def test_reduced_form_at_repeated_points(self):
+        # (z - 2)^4 has f' = 4 (z - 2)^3; (z - 1)^2/(z - 2)^2 has
+        # f' = -2 (z - 1)/(z - 2)^3, over the pole at order 3, not 4
+        assert derivative(RationalMap(constant=1 + 0j, zeros=((2 + 0j, 4),))) == (-32, 48, -24, 4)
+        f = RationalMap(constant=1 + 0j, zeros=((1 + 0j, 2),), poles=((2 + 0j, 2),))
+        assert derivative(f) == (2, -2)
+
     def test_constant_map_has_no_critical_points(self):
         assert critical_points(RationalMap(constant=5 + 0j)) == []
 
@@ -223,13 +239,26 @@ class TestDerivative:
         crit = critical_points(f)
         assert len(crit) == 1 and abs(crit[0][0]) < 1e-12
 
+    def test_repeated_zero_is_critical(self):
+        # (z - a)^h: a critical point of multiplicity h - 1 at a, exactly,
+        # where the roots of a coefficient form scatter by ~eps^(1/(h-1))
+        f = RationalMap(constant=1 + 0j, zeros=((2 + 0j, 4),))
+        assert critical_points(f) == [(2 + 0j, 3)]
+
     @pytest.mark.parametrize("zero, order, point", [(2 + 0j, 2, 4.0), (1 + 0j, 3, 1.5)])
     def test_repeated_pole_is_not_critical(self, zero, order, point):
-        # (z - a)/z^k: the numerator of f' has a root of order k - 1 at the
-        # pole, which the pole's order accounts for
+        # (z - a)/z^k: f'/f = 1/(z - a) - k/z vanishes only at k a/(k - 1),
+        # never at the pole
         crit = critical_points(RationalMap(constant=1 + 0j, zeros=((zero, 1),), poles=((0j, order),)))
         assert len(crit) == 1
         assert crit[0][0] == pytest.approx(point, abs=1e-12) and crit[0][1] == 1
+
+    def test_repeated_pole_off_the_origin_is_not_critical(self):
+        # (z - 1)/(z - 2)^4: only (4 - 2)/3 = 2/3; a coefficient form has a
+        # triple root at the pole, which its roots scatter
+        crit = critical_points(RationalMap(constant=1 + 0j, zeros=((1 + 0j, 1),), poles=((2 + 0j, 4),)))
+        assert len(crit) == 1
+        assert crit[0][0] == pytest.approx(2 / 3, abs=1e-12) and crit[0][1] == 1
 
 
 class TestPreimages:
@@ -249,6 +278,17 @@ class TestPreimages:
         rmap, _ = zeta_hat_default()
         pre = preimages(rmap, rmap.constant)
         assert len(pre) == 1 and is_infinity(pre[0][0]) and pre[0][1] == 2
+
+    def test_zero_preimages_are_zeros(self):
+        # a repeated zero, which the roots of a coefficient form would split
+        # into five points up to 1.5e-3 apart
+        f = RationalMap(constant=1 + 0j, zeros=((2 + 0j, 5),))
+        assert preimages(f, 0) == [(2 + 0j, 5)]
+
+    def test_zero_preimages_include_infinity_past_the_zeros(self):
+        # (z - 2)/z^3: one zero, three poles, so infinity goes to 0 twice
+        f = RationalMap(constant=1 + 0j, zeros=((2 + 0j, 1),), poles=((0j, 3),))
+        assert preimages(f, 0j) == [(2 + 0j, 1), (INFINITY, 2)]
 
     def test_infinity_preimages_are_poles(self):
         rmap, _ = zeta_hat_default()

@@ -8,15 +8,17 @@ from zetasphere.flow import FlowParams, flow_map, transport_divisor
 from zetasphere.mero import (
     Divisor,
     RationalMap,
+    critical_points,
     divisor_add,
     divisor_degree,
     divisor_negate,
     partial_fractions,
+    preimages,
     principal_divisor,
     rational_from_divisor,
     evaluate,
 )
-from zetasphere.sphere import INFINITY, covering_a, sector_retraction, stereo_lift, stereo_project
+from zetasphere.sphere import INFINITY, covering_a, is_infinity, sector_retraction, stereo_lift, stereo_project
 from zetasphere.specfun import gamma, reflection_residual
 from zetasphere.zeta import zeta_eval
 
@@ -69,6 +71,17 @@ def _make_map(c, zs, ps, mults):
     zeros = tuple((z, mults[i]) for i, z in enumerate(zs))
     poles = tuple((p, mults[3 + i]) for i, p in enumerate(ps))
     return RationalMap(constant=c, zeros=zeros, poles=poles)
+
+
+# repeated zeros and poles up to order 4, where roots of a coefficient form
+# scatter by ~eps^(1/3)
+ramified_maps = st.builds(
+    _make_map,
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=5, allow_nan=False, allow_infinity=False),
+    st.lists(finite_complex, min_size=0, max_size=3),
+    st.lists(finite_complex, min_size=0, max_size=3),
+    st.lists(st.integers(1, 4), min_size=6, max_size=6),
+)
 
 
 class TestGammaBatteries:
@@ -155,6 +168,19 @@ class TestDivisorBatteries:
             return
         direct = evaluate(f, z)
         assert abs(pf(z) - direct) <= 1e-10 * max(1.0, abs(direct))
+
+    @BATTERY
+    @given(ramified_maps)
+    def test_riemann_hurwitz_over_the_sphere(self, f):
+        # chi = 2 on both spheres, so the ramification over the finite
+        # critical points, the poles and infinity sums to 2 deg - 2
+        if f.degree == 0:
+            return
+        finite = sum(m for _, m in critical_points(f))
+        at_poles = sum(k - 1 for _, k in f.poles)
+        over_f_inf = preimages(f, evaluate(f, INFINITY))
+        e_inf = next((m for p, m in over_f_inf if is_infinity(p)), 1)
+        assert finite + at_poles + e_inf - 1 == 2 * f.degree - 2
 
 
 class TestSphereBatteries:

@@ -79,6 +79,16 @@ def main():
             print("    (complex%r, complex(%s, %s))," % (s0, fmt(lg.real), fmt(lg.imag)))
     print(")")
 
+    # Gamma either side of its two route seams, Re s = 1/2 and |Im s| = 20:
+    # the Lanczos product on Re s >= 1/2, |Im s| <= 20, exp(log Gamma) elsewhere
+    print("GAMMA_SEAMS = (")
+    for s0 in ((0.4999999, 3.0), (0.5, 3.0), (0.5000001, 3.0), (0.49, -15.0), (0.51, -15.0),
+               (2.5, 19.999), (2.5, 20.001), (0.5, 20.0), (0.5, 20.0000001), (-3.3, -19.99),
+               (-3.3, -20.01), (150.5, 19.5), (150.5, 20.5)):
+        g = mp.gamma(mp.mpc(*s0))
+        print("    (complex%r, complex(%s, %s))," % (s0, fmt(g.real), fmt(g.imag)))
+    print(")")
+
     print("# zeta")
     print("ZETA_HALF =", fmt(mp.zeta(mp.mpf(1) / 2)))
     print("ZETA_THREE =", fmt(mp.zeta(3)))
@@ -128,6 +138,16 @@ def main():
     print("THETA = (")
     for t in (0.0, 9.999, 10.0, 14.134725141734693, 100.0, 1000.0, 7005.06, 1e4):
         print("    (%r, %s)," % (t, fmt(mp.siegeltheta(t))))
+    print(")")
+    # f(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) either side of |Im s| = 20,
+    # where log sin(pi s/2) joins its log-space head
+    print("F_FACTOR_SEAMS = (")
+    for s0 in ((0.3, 19.999), (0.3, 20.001), (0.5, -20.0), (0.5, -20.0000001), (2.5, 19.99),
+               (2.5, 20.01), (-5.5, 19.99), (-5.5, 20.01), (-150.25, -19.9), (-150.25, -20.1),
+               (142.5, 19.5), (142.5, 20.5)):
+        s = mp.mpc(*s0)
+        f = 2**s * mp.pi ** (s - 1) * mp.sin(mp.pi * s / 2) * mp.gamma(1 - s)
+        print("    (complex%r, complex(%s, %s))," % (s0, fmt(f.real), fmt(f.imag)))
     print(")")
     # left of Re s ~ -141, where Gamma(1-s) alone overflows a direct product
     print("ZETA_FAR_LEFT = (")

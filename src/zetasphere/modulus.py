@@ -51,23 +51,32 @@ def _require_strip(s: complex, who: str) -> None:
         raise DomainError(f"{who} requires s in the open critical strip, got {s}")
 
 
-def _bracket(x: float, y: float) -> float:
-    """e^(-pi y) + e^(pi y) + 2 (2 sin^2(pi x / 2) - 1)."""
-    return 2.0 * math.cosh(math.pi * y) + 2.0 * (2.0 * math.sin(math.pi * x / 2) ** 2 - 1.0)
+def _bracket_root(s: complex, who: str) -> float:
+    """sqrt(e^(-pi y) + e^(pi y) + 2 (2 sin^2(pi x / 2) - 1)) at s = x + iy;
+    past pi |y| = 700, where the bracket overflows and its other terms are
+    below the rounding, e^(pi |y| / 2), which overflows from |y| ~ 451.8."""
+    x, y = s.real, s.imag
+    py = math.pi * abs(y)
+    if py <= 700:
+        return math.sqrt(2.0 * math.cosh(math.pi * y) + 2.0 * (2.0 * math.sin(math.pi * x / 2) ** 2 - 1.0))
+    try:
+        return math.exp(0.5 * py)
+    except OverflowError:
+        raise DomainError(f"{who} at s = {s}: the bracket's root leaves double range") from None
 
 
 def f_abs_closed(s: complex) -> ModulusBreakdown:
     """Closed-form |f(s)| on the open strip, broken into displayed factors."""
     s = complex(s)
     _require_strip(s, "f_abs_closed")
-    x, y = s.real, s.imag
-    b = _bracket(x, y)
+    x = s.real
+    root = _bracket_root(s, "f_abs_closed")
     gamma_abs = abs(gamma(1 - s))
-    product = (2 * math.pi) ** (x - 1) * math.sqrt(b) * gamma_abs
+    product = (2 * math.pi) ** (x - 1) * root * gamma_abs
     return ModulusBreakdown(
         two_pow=2.0**x,
         pi_pow=math.pi ** (x - 1),
-        sin_abs=0.5 * math.sqrt(b),
+        sin_abs=0.5 * root,
         gamma_abs=gamma_abs,
         product=product,
     )
@@ -82,21 +91,26 @@ def gamma_abs_dx(s: complex) -> float:
 def f_abs_dx(s: complex) -> float:
     """The printed d/dx |f(s)| formula, evaluated verbatim.
 
-    The first term carries the bracket to the power 3/2 over the same
+    The first term carries the bracket b to the power 3/2 over the same
     bracket to the power 1/2 exactly as printed; where that disagrees with
     the central difference of f_abs_closed, the verification suite flags the
-    point instead of silently correcting the exponent.
+    point instead of silently correcting the exponent.  The brace is taken
+    as sqrt(b) (ln(2 pi) sqrt(b) + 2 pi sin cos / b), sqrt(b) times
+    |Gamma(1-s)| first: b^(3/2) overflows from |y| ~ 150.6, the value from ~451.
     """
     s = complex(s)
     _require_strip(s, "f_abs_dx")
-    x, y = s.real, s.imag
-    b = _bracket(x, y)
+    x = s.real
+    root = _bracket_root(s, "f_abs_dx")
     gamma_abs = abs(gamma(1 - s))
     sin_cos = math.sin(math.pi * x / 2) * math.cos(math.pi * x / 2)
-    brace = (math.log(2 * math.pi) * b**1.5 + 2 * math.pi * sin_cos) / math.sqrt(b)
-    term1 = gamma_abs * (2 * math.pi) ** (x - 1) * brace
-    term2 = (2 * math.pi) ** (x - 1) * math.sqrt(b) * gamma_abs_dx(s)
-    return term1 + term2
+    brace_over_root = math.log(2 * math.pi) * root + 2 * math.pi * sin_cos / (root * root)
+    term1 = (gamma_abs * root) * (2 * math.pi) ** (x - 1) * brace_over_root
+    term2 = (2 * math.pi) ** (x - 1) * root * gamma_abs_dx(s)
+    value = term1 + term2
+    if not math.isfinite(value):
+        raise DomainError(f"f_abs_dx at s = {s} leaves double range")
+    return value
 
 
 def central_dx(fn: Callable[[complex], float], s: complex, h: float) -> float:

@@ -1,12 +1,12 @@
 """Complex Gamma, log-Gamma, digamma, and the closed-form Gamma moduli.
 
 The Gamma core is a Lanczos rational approximation (g = 7, 9 terms,
-~15 significant digits) with Euler reflection below Re(s) = 1/2.  log Gamma
+~15 significant digits).  Gamma is its product on Re s >= 1/2 with
+|Im s| <= LOG_SPACE_IM and exp(log Gamma) everywhere else.  log Gamma
 reflects only for Re(s) <= 0; in 0 < Re(s) < 1/2 it takes one shift,
-log Gamma(s) = log Gamma(s + 1) - log s, which needs no sine.  Large
-imaginary parts route through log space, and the Lanczos power is split in
-two halves where it alone would overflow, so nothing overflows before the
-value itself leaves double range; there a DomainError names the point.
+log Gamma(s) = log Gamma(s + 1) - log s, which needs no sine.  Nothing
+overflows before the value itself leaves double range; there a DomainError
+names the point.
 """
 
 from __future__ import annotations
@@ -103,20 +103,6 @@ def _lanczos_sum(zm: complex) -> complex:
     return a
 
 
-def _gamma_lanczos_direct(z: complex, halves: bool = False) -> complex:
-    """Plain Lanczos product; accurate for Re(z) > 0, no reflection.
-
-    With ``halves`` the power t^(z-1/2) is taken as two half powers on
-    either side of e^-t, which stays in double range as far as Gamma does.
-    """
-    zm = z - 1
-    t = zm + _LANCZOS_G + 0.5
-    if not halves:
-        return math.sqrt(2 * math.pi) * t ** (zm + 0.5) * cmath.exp(-t) * _lanczos_sum(zm)
-    half = t ** (0.5 * (zm + 0.5))
-    return math.sqrt(2 * math.pi) * half * cmath.exp(-t) * half * _lanczos_sum(zm)
-
-
 def sin_pi(z: complex) -> complex:
     """sin(pi z) as (-1)^n sin(pi (z - n)) about the nearest integer n, so
     it is 0 exactly at the integers and keeps its relative accuracy next to
@@ -127,10 +113,12 @@ def sin_pi(z: complex) -> complex:
 
 
 def _logsin_pi(z: complex) -> complex:
-    """log(sin(pi z)), stable for large |Im z| where sin itself overflows."""
+    """log(sin(pi z)), stable for large |Im z| where sin itself overflows;
+    there z is first taken about its nearest even integer, which leaves
+    sin(pi z) as it is and pi Re z in double range."""
     if abs(z.imag) < 10:
         return cmath.log(sin_pi(z))
-    w = 1j * math.pi * z
+    w = 1j * math.pi * (z - 2 * round(z.real / 2))
     if z.imag > 0:
         return cmath.log((cmath.exp(2 * w) - 1) / 2j) - w
     return cmath.log((1 - cmath.exp(-2 * w)) / 2j) + w
@@ -151,7 +139,9 @@ def loggamma(s: complex) -> complex:
     s = finite_argument(s, "loggamma")
     k = _nonpositive_integer_index(s)
     if k is not None:
-        raise PoleError(-k, residue=(-1.0) ** k / math.factorial(k), index=k)
+        # past k = 170, k! is no double and 1/k! is subnormal, 0.0 from k = 178
+        residue = 1 / math.factorial(k) if k <= 170 else math.exp(-math.lgamma(k + 1))
+        raise PoleError(-k, residue=(-1.0) ** k * residue, index=k)
     if s.real <= 0:
         return _LNPI - _logsin_pi(s) - _loggamma_lanczos(1 - s)
     if s.real < 0.5:
@@ -172,32 +162,28 @@ def _loggamma_lanczos(s: complex) -> complex:
 
 
 def gamma(s: complex) -> complex:
-    """Gamma(s) with Euler reflection below Re(s) = 1/2, taken in log space
-    past |Im s| = LOG_SPACE_IM and left of Re s = -142.
+    """Gamma(s): the Lanczos product on Re s >= 1/2 with |Im s| <=
+    LOG_SPACE_IM, exp(log Gamma(s)) everywhere else.
 
-    Raises PoleError at non-positive integers (within 1e-12), carrying the
-    pole index k and the residue (-1)^k / k!.  DomainError where the value
-    leaves double range (from Re s ~ 171.6).
+    PoleError from :func:`loggamma` at non-positive integers (within
+    1e-12), carrying the pole index k and the residue (-1)^k / k!.
+    DomainError where the value leaves double range (from Re s ~ 171.6).
     """
     s = finite_argument(s, "Gamma")
-    k = _nonpositive_integer_index(s)
-    if k is not None:
-        raise PoleError(-k, residue=(-1.0) ** k / math.factorial(k), index=k)
-    if abs(s.imag) > LOG_SPACE_IM or s.real < -142:
-        # sin(pi s) or Gamma(1-s) in the reflection overflows long before the
-        # value does
+    if s.real < 0.5 or abs(s.imag) > LOG_SPACE_IM:
         return exp_in_range(loggamma(s), "Gamma", s)
-    if s.real < 0.5:
-        return math.pi / (sin_pi(s) * gamma(1 - s))
-    # the whole power overflows from Re s ~ 142.2, Gamma only from ~171.6
-    for halves in (False, True):
-        try:
-            value = _gamma_lanczos_direct(s, halves)
-        except OverflowError:
-            continue
-        if cmath.isfinite(value):
-            return value
-    raise DomainError(f"Gamma at s = {s} leaves double range")
+    # t^(s-1/2) as two half powers about e^-t, in double range as far as
+    # Gamma is; the whole power overflows from Re s ~ 142.2
+    zm = s - 1
+    t = zm + _LANCZOS_G + 0.5
+    try:
+        half = t ** (0.5 * (zm + 0.5))
+        value = math.sqrt(2 * math.pi) * half * cmath.exp(-t) * half * _lanczos_sum(zm)
+    except OverflowError:
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise DomainError(f"Gamma at s = {s} leaves double range")
+    return value
 
 
 def digamma(s: complex) -> complex:
@@ -306,11 +292,11 @@ def reflection_residual(s: complex) -> float:
     the reflection identity by construction.  Off the strip one of the two
     Gammas could only be had by reflecting the other, which cancels them and
     leaves sine rounding alone, so a DomainError naming the function is
-    raised there.  Past |Im s| > LOG_SPACE_IM, where sin(pi s) and the
-    Gammas leave double range long before their product does, the product
-    is taken in log space.  Contract: < 1e-10 in the strip off integers, up
-    to |Im s| = 1e4.  DomainError past |Im s| = 1e4, where the log-space sum
-    of three terms of size ~|t| log |t| keeps only their rounding.
+    raised there.  The product is taken in log space everywhere, since
+    sin(pi s) and the Gammas leave double range long before it does.
+    Contract: < 1e-10 in the strip off integers, up to |Im s| = 1e4.
+    DomainError past |Im s| = 1e4, where the log-space sum of three terms of
+    size ~|t| log |t| keeps only their rounding.
     """
     s = finite_argument(s, "reflection_residual")
     if not 0 < s.real < 1:
@@ -319,10 +305,8 @@ def reflection_residual(s: complex) -> float:
         raise DomainError(f"reflection residual at s = {s}: |Im s| > {_REFLECTION_MAX_IM:g} loses its accuracy")
     if abs(s.imag) <= POLE_WINDOW and abs(s.real - round(s.real)) <= POLE_WINDOW:
         raise DomainError(f"reflection identity degenerate at integer s={s}")
-    if abs(s.imag) > LOG_SPACE_IM:
-        log_gammas = _loggamma_lanczos(s) + _loggamma_lanczos(1 - s)
-        return abs(cmath.exp(log_gammas + _logsin_pi(s)) - math.pi)
-    return abs(_gamma_lanczos_direct(1 - s) * _gamma_lanczos_direct(s) * cmath.sin(math.pi * s) - math.pi)
+    log_product = _loggamma_lanczos(s) + _loggamma_lanczos(1 - s) + _logsin_pi(s)
+    return abs(cmath.exp(log_product) - math.pi)
 
 
 def psi_pair(s: complex) -> float:

@@ -104,8 +104,9 @@ _FUNCTIONAL_GRID = _strip_grid(10, 20, 20.0)
 _MODULUS_GRID = _strip_grid(15, 20, 20.0)
 
 
+@functools.cache
 def _critical_line_unity_deviation() -> float:
-    """max | |f(1/2+iy)| - 1 | over 200 midpoints of |y| <= 50."""
+    """max | |f(1/2+iy)| - 1 | over 200 midpoints of |y| <= 50; two suites read it."""
     return max(
         abs(modulus.f_abs_product(complex(0.5, -50 + 100 * (j + 0.5) / 200)) - 1.0) for j in range(200)
     )

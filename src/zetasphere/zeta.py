@@ -268,29 +268,26 @@ def zeta_eval(s: complex) -> complex:
 def f_factor(s: complex) -> complex:
     """The functional-equation factor f(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s).
 
-    PoleError at the positive integers, the poles of Gamma(1-s).  Past
-    |Im s| > LOG_SPACE_IM the product is taken in log space, where
-    sin(pi s/2) alone would overflow long before f(s) does.  Below it the
-    sine is taken about its nearest zero, so f(-2n) = 0 exactly.  Left
-    of Re s = -170 and right of Re s = 143, where Gamma(1-s) leaves double
-    range long before f(s) does, everything but the sine is taken in log
-    space.  DomainError where f(s) itself leaves double range.
+    PoleError at the positive integers, the poles of Gamma(1-s).  All but
+    the sine is one log-space head, s ln 2 + (s - 1) ln pi +
+    log Gamma(1 - s), since Gamma(1-s) leaves double range long before
+    f(s) does.  Past |Im s| > LOG_SPACE_IM, where sin(pi s/2) would
+    overflow too, log sin(pi s/2) joins the head; below it the sine is
+    taken about its nearest zero and multiplies exp(head), so f(-2n) = 0
+    exactly.  DomainError where f(s) itself leaves double range.
     """
     s = finite_argument(s, "f")
     if abs(s.imag) <= POLE_WINDOW:
         r = round(s.real)
         if r >= 1 and abs(s.real - r) <= POLE_WINDOW:
             raise PoleError(float(r), index=r - 1)
+    head = s * _LN2 + (s - 1) * _LNPI + loggamma(1 - s)
     if abs(s.imag) > LOG_SPACE_IM:
-        head = s * _LN2 + (s - 1) * _LNPI
-        return exp_in_range(head + _logsin_pi(s / 2) + loggamma(1 - s), "f", s)
+        return exp_in_range(head + _logsin_pi(s / 2), "f", s)
     sine = sin_pi(s / 2)
-    if -170 <= s.real <= 143:
-        return 2**s * math.pi ** (s - 1) * sine * gamma(1 - s)
     if sine == 0:
         return 0j
-    head = s * _LN2 + (s - 1) * _LNPI
-    return exp_in_range(head + loggamma(1 - s), "f", s, sine)
+    return exp_in_range(head, "f", s, sine)
 
 
 def functional_rhs(s: complex) -> complex:

@@ -71,6 +71,25 @@ LOGGAMMA_VERTICAL = (
     (complex(0.875, 500.0), complex(-782.14874685467908, 2607.8930405419630)),
 )
 
+# Gamma either side of its route seams Re s = 1/2 and |Im s| = 20: the
+# Lanczos product on Re s >= 1/2, |Im s| <= 20, exp(log Gamma) elsewhere:
+# (s, Gamma(s))
+GAMMA_SEAMS = (
+    (complex(0.4999999, 3.0), complex(0.021445669284926358, 0.0068653607175909445)),
+    (complex(0.5, 3.0), complex(0.021445670552430646, 0.0068653648372616779)),
+    (complex(0.5000001, 3.0), complex(0.021445671819934448, 0.0068653689569329866)),
+    (complex(0.49, -15.0), complex(1.2692122837418549e-10, -6.5284725678846909e-11)),
+    (complex(0.51, -15.0), complex(1.3175360056261109e-10, -7.3092409859245705e-11)),
+    (complex(2.5, 19.999), complex(1.1839063279944670e-11, -1.9574097657121016e-11)),
+    (complex(2.5, 20.001), complex(1.1921191356893560e-11, -1.9445400086771004e-11)),
+    (complex(0.5, 20.0), complex(-3.4307841591454818e-14, 4.5428803574633434e-14)),
+    (complex(0.5, 20.0000001), complex(-3.4307849811168394e-14, 4.5428786161340280e-14)),
+    (complex(-3.3, -19.99), complex(-3.4896880802724466e-19, -5.4214879145911901e-19)),
+    (complex(-3.3, -20.01), complex(-3.6782216577492606e-19, -5.0216925663697766e-19)),
+    (complex(150.5, 19.5), complex(-1.2265110667530994e+261, -4.7953256057897111e+260)),
+    (complex(150.5, 20.5), complex(-7.2505839401070935e+260, 8.9705425794730945e+260)),
+)
+
 ZETA_HALF = -1.4603545088095868
 ZETA_THREE = 1.2020569031595943
 ZETA_SPOT_ARG = complex(0.75, 2.5)
@@ -115,6 +134,22 @@ THETA = (
     (1000.0, 2034.5464280380316),
     (7005.06, 21072.617428339665),
     (10000.0, 31861.923830835821),
+)
+# f(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) either side of |Im s| = 20,
+# where log sin(pi s/2) joins its log-space head: (s, f(s))
+F_FACTOR_SEAMS = (
+    (complex(0.3, 19.999), complex(-0.90499234869942257, -0.87747394738045969)),
+    (complex(0.3, 20.001), complex(-0.90703994485730950, -0.87539350536770062)),
+    (complex(0.5, -20.0), complex(-0.71943831940091311, 0.69455633650380710)),
+    (complex(0.5, -20.0000001), complex(-0.71943839981323836, 0.69455625321075829)),
+    (complex(2.5, 19.99), complex(-0.062805579327905954, -0.075862748155441889)),
+    (complex(2.5, 20.01), complex(-0.064424020290323672, -0.074233697275267922)),
+    (complex(-5.5, 19.99), complex(108.62629748578287, -1126.2866868046629)),
+    (complex(-5.5, 20.01), complex(82.024046643305124, -1135.1695199367849)),
+    (complex(-150.25, -19.9), complex(-2.6847965119665355e+154, 3.8225679413036126e+155)),
+    (complex(-150.25, -20.1), complex(-3.3207172178353904e+155, 3.8836837286549557e+155)),
+    (complex(142.5, 19.5), complex(4.2703031529592834e-144, -1.7321622014180956e-144)),
+    (complex(142.5, 20.5), complex(-1.0266550149777955e-144, 4.0001338154948302e-145)),
 )
 # left of Re s ~ -141, where Gamma(1-s) alone overflows a direct product
 ZETA_FAR_LEFT = (

@@ -23,7 +23,7 @@ NAN_LABELS = {
 }
 
 
-def run_cli(*argv, env_extra=None):
+def run_cli(*argv, env_extra=None, timeout=300):
     import os
 
     env = dict(os.environ)
@@ -36,7 +36,7 @@ def run_cli(*argv, env_extra=None):
         env=env,
         # a command that runs away (say, building an uncapped grid) fails
         # its test instead of filling memory
-        timeout=300,
+        timeout=timeout,
     )
     return proc
 
@@ -65,6 +65,12 @@ class TestEval:
         proc = run_cli("eval", "zeta", "1+0i")
         assert proc.returncode == 2
         assert "pole" in proc.stderr
+
+    def test_far_pole_exits_promptly(self):
+        # forming 1e17! never finished
+        proc = run_cli("eval", "gamma", "--", "-1e17", timeout=30)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: pole at -100000000000000000")
 
     def test_completed_half_discrepancy_note(self):
         proc = run_cli("eval", "completed", "0.5+0i")

@@ -74,6 +74,25 @@ class TestFAbsClosed:
             with pytest.raises(DomainError):
                 f_abs_closed(s)
 
+    @pytest.mark.parametrize("y", [225.95, 226.2, 300.0])
+    def test_past_the_bracket_overflow(self, y):
+        # the bracket 2 cosh(pi y) + ... leaves double range from y ~ 225.9;
+        # |f| = 1 on the line, and there the printed d/dx |f| is
+        # ln(2 pi) e^(pi y / 2) up to terms below its rounding
+        s = complex(0.5, y)
+        assert f_abs_closed(s).product == pytest.approx(1.0, abs=1e-12)
+        assert f_abs_dx(s) == pytest.approx(math.log(2 * math.pi) * math.exp(math.pi * y / 2), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [complex(0.06, 451.0), complex(0.5, 452.0), complex(0.5, -1e6)])
+    def test_past_double_range_is_typed(self, s):
+        # d/dx |f| leaves double range near y ~ 451, the bracket's root
+        # e^(pi |y| / 2) from 451.8
+        with pytest.raises(DomainError, match="f_abs_dx"):
+            f_abs_dx(s)
+        if abs(s.imag) > 451.8:
+            with pytest.raises(DomainError, match="f_abs_closed"):
+                f_abs_closed(s)
+
 
 class TestDerivativeFormulas:
     def test_gamma_abs_dx_matches_finite_difference(self):

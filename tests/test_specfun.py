@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import pytest
 
@@ -28,6 +29,7 @@ from reference_values import (
     GAMMA_HALF_PLUS_I,
     GAMMA_NEAR_POLES,
     GAMMA_QUARTER,
+    GAMMA_SEAMS,
     LOGGAMMA_STRIP,
     LOGGAMMA_VERTICAL,
 )
@@ -45,12 +47,28 @@ class TestGamma:
         assert abs(g - GAMMA_HALF_PLUS_I) < 1e-13
         assert abs(g) == pytest.approx(math.sqrt(math.pi / math.cosh(math.pi)), rel=1e-12)
 
-    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
     def test_pole_carries_index_and_residue(self, k):
         with pytest.raises(PoleError) as exc:
             gamma(complex(-k, 0.0))
         assert exc.value.index == k
-        assert exc.value.residue == pytest.approx((-1.0) ** k / math.factorial(k))
+        assert exc.value.residue == (-1.0) ** k / math.factorial(k)
+
+    @pytest.mark.parametrize("k", [171, 200, 1e6, 1e17])
+    def test_far_pole_is_typed_and_prompt(self, k):
+        # k! is no double past k = 170 and takes seconds to form at 1e6
+        for fn in (gamma, loggamma):
+            start = time.perf_counter()
+            with pytest.raises(PoleError) as exc:
+                fn(-k)
+            assert time.perf_counter() - start < 0.1
+            assert exc.value.index == int(k)
+            assert abs(exc.value.residue) < 1e-300
+
+    @pytest.mark.parametrize("s, value", GAMMA_SEAMS)
+    def test_either_side_of_the_route_seams(self, s, value):
+        # measured: at most 1.5e-13, the Lanczos set's own error
+        assert abs(gamma(s) - value) <= 3e-13 * abs(value)
 
     @pytest.mark.parametrize("s, value, log_value, psi", GAMMA_NEAR_POLES)
     def test_next_to_poles(self, s, value, log_value, psi):

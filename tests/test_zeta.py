@@ -34,6 +34,7 @@ from reference_values import (
     COMPLETED_FAR_LEFT,
     COMPLETED_HALF,
     COMPLETED_LOGDERIV,
+    F_FACTOR_SEAMS,
     ETA_DENOM_ZERO_IM,
     EULER_PARTIAL,
     STIELTJES_REF,
@@ -216,11 +217,24 @@ class TestZeta:
             zeta_eval(-300.5)
 
     def test_trivial_zeros_exact(self):
-        # the direct product below Re s = -170 and the log-space product
-        # beyond it both take sin(pi s/2) about the nearest zero
-        for n in range(1, 146):
+        # f(s) takes sin(pi s/2) about its nearest zero
+        for n in (*range(1, 146), 200):
             assert zeta_eval(-2.0 * n) == 0
             assert f_factor(-2.0 * n) == 0
+
+    @pytest.mark.parametrize("s, value", F_FACTOR_SEAMS)
+    def test_f_either_side_of_the_log_sine_seam(self, s, value):
+        # measured: at most 1.5e-13
+        assert abs(f_factor(s) - value) <= 3e-13 * abs(value)
+
+    def test_far_left_past_the_sine_argument_is_typed(self):
+        # pi Re s leaves double range inside log sin(pi s/2)'s exponential
+        # unless s is first reduced about its nearest even integer
+        s = complex(-1e308, -30.0)
+        with pytest.raises(DomainError):
+            zeta_eval(s)
+        with pytest.raises(DomainError):
+            f_factor(s)
 
     def test_next_to_trivial_zeros(self):
         for x, ref in ZETA_NEAR_TRIVIAL:

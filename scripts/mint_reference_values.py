@@ -159,6 +159,14 @@ def main():
     for x in (-40.001, -60.0003, -250.0001):
         print("    (%r, %s)," % (x, fmt(mp.zeta(x))))
     print(")")
+    # next to s = 0, out to |s| = 0.014, where zeta(1 - s) sits next to its
+    # pole: real, imaginary and oblique s
+    print("ZETA_NEAR_ORIGIN = (")
+    for s0 in ((2e-06, 0.0), (-3e-05, 0.0), (1e-05, -2e-05), (0.0, 0.0005), (0.003, 0.0),
+               (-0.004, 0.009), (-0.0123, 0.0), (0.0095, -0.01)):
+        z = mp.zeta(mp.mpc(*s0))
+        print("    (complex%r, complex(%s, %s))," % (s0, fmt(z.real), fmt(z.imag)))
+    print(")")
     # Lambda'/Lambda for Lambda(s) = pi^(-s/2) Gamma(s/2) zeta(s): right and
     # left of the critical line, out to t ~ 990, and on the eta-denominator
     # zeros 1 + 2 pi i k / ln 2 (as doubles) and their reflection through

@@ -57,11 +57,9 @@ def flow_velocity(p: FlowParams, z: complex) -> tuple[float, float]:
 def transport_divisor(p: FlowParams, d: Divisor) -> Divisor:
     """Push every finite support point through the flow; infinity is fixed;
     coinciding images merge, so the degree is preserved."""
-    support = {}
-    for point, mult in d.items():
-        image = point if is_infinity(point) else flow_map(p, point)
-        support[image] = support.get(image, 0) + mult
-    return Divisor(support)
+    return Divisor(
+        (point if is_infinity(point) else flow_map(p, point), mult) for point, mult in d.items()
+    )
 
 
 def continuity_probe(p: FlowParams) -> list[VerificationItem]:

@@ -33,26 +33,28 @@ CANCELLATION_LIMIT = 1024.0
 
 
 class Divisor:
-    """Finite integer-weighted formal sum of extended points.
-
-    Zero multiplicities are never stored; two divisors are equal iff their
-    supports and multiplicities match exactly.
+    """Finite integer-weighted formal sum of extended points, from a mapping
+    or from (point, multiplicity) pairs whose points may repeat.  The one
+    place where multiplicities merge: zero ones are never stored, so two
+    divisors are equal iff their supports and multiplicities match exactly.
     """
 
     __slots__ = ("_support",)
 
-    def __init__(self, support: Mapping[ExtendedPoint, int] | None = None):
+    def __init__(self, support: Mapping[ExtendedPoint, int] | Iterable | None = None):
         self._support: dict[ExtendedPoint, int] = {}
-        if support:
-            for point, mult in support.items():
-                if mult == 0:
-                    continue
-                if not isinstance(mult, int):
-                    raise DomainError("divisor multiplicities must be integers")
-                key = point if is_infinity(point) else complex(point)
-                self._support[key] = self._support.get(key, 0) + mult
-                if self._support[key] == 0:
-                    del self._support[key]
+        pairs = support.items() if isinstance(support, Mapping) else support or ()
+        for point, mult in pairs:
+            if mult == 0:
+                continue
+            if not isinstance(mult, int):
+                raise DomainError("divisor multiplicities must be integers")
+            key = point if is_infinity(point) else complex(point)
+            total = self._support.get(key, 0) + mult
+            if total:
+                self._support[key] = total
+            else:
+                del self._support[key]
 
     def items(self):
         return self._support.items()
@@ -75,10 +77,7 @@ class Divisor:
 
 
 def divisor_add(a: Divisor, b: Divisor) -> Divisor:
-    merged = dict(a.items())
-    for p, m in b.items():
-        merged[p] = merged.get(p, 0) + m
-    return Divisor(merged)
+    return Divisor([*a.items(), *b.items()])
 
 
 def divisor_negate(a: Divisor) -> Divisor:
@@ -89,13 +88,12 @@ def divisor_degree(a: Divisor) -> int:
     return sum(m for _, m in a.items())
 
 
+def _point_json(p: ExtendedPoint) -> str | dict:
+    return "inf" if is_infinity(p) else {"re": p.real, "im": p.imag}
+
+
 def divisor_to_json(a: Divisor) -> list[dict]:
-    out = []
-    for p, m in a.items():
-        if is_infinity(p):
-            out.append({"point": "inf", "multiplicity": m})
-        else:
-            out.append({"point": {"re": p.real, "im": p.imag}, "multiplicity": m})
+    out = [{"point": _point_json(p), "multiplicity": m} for p, m in a.items()]
     out.sort(key=lambda row: str(row["point"]))
     return out
 
@@ -163,15 +161,9 @@ class BranchData:
 def principal_divisor(f: RationalMap) -> Divisor:
     """Zeros positive, poles negative, order at infinity = poles - zeros;
     total degree identically 0."""
-    support: dict[ExtendedPoint, int] = {}
-    for z, h in f.zeros:
-        support[complex(z)] = support.get(complex(z), 0) + h
-    for p, k in f.poles:
-        support[complex(p)] = support.get(complex(p), 0) - k
-    inf_order = f.pole_count - f.zero_count
-    if inf_order:
-        support[INFINITY] = inf_order
-    return Divisor(support)
+    return Divisor(
+        [*f.zeros, *((p, -k) for p, k in f.poles), (INFINITY, f.pole_count - f.zero_count)]
+    )
 
 
 def rational_from_divisor(d: Divisor, c: complex) -> RationalMap:
@@ -221,11 +213,17 @@ def evaluate(f: RationalMap, point: ExtendedPoint) -> ExtendedPoint:
 # coefficient-form helpers (ascending order)
 
 
-def _poly_from_roots(roots: Iterable[tuple[complex, int]], lead: complex = 1.0 + 0j):
-    coeffs = np.array([lead], dtype=complex)
+def _poly_from_roots(roots: Iterable[tuple[complex, int]], lead: complex = 1.0 + 0j) -> list:
+    """Ascending coefficients of lead * prod (z - root)^mult, in the
+    arithmetic of ``lead`` and the roots: complex, or _Exact for exact ones."""
+    zero = lead - lead
+    coeffs = [lead]
     for root, mult in roots:
         for _ in range(mult):
-            coeffs = np.convolve(coeffs, np.array([-complex(root), 1.0], dtype=complex))
+            shifted = [zero] + coeffs
+            for i, c in enumerate(coeffs):
+                shifted[i] = shifted[i] - root * c
+            coeffs = shifted
     return coeffs
 
 
@@ -236,9 +234,12 @@ def _poly_trim(coeffs: np.ndarray, tol: float = 0.0) -> np.ndarray:
         keep -= 1
     return coeffs[:keep]
 
-def _poly_eval(coeffs: np.ndarray, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
+
+def _poly_eval(coeffs, z):
+    """Horner's rule from the top coefficient, so it needs no zero and works
+    in the arithmetic of coeffs and z: complex, float or _Exact."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
         acc = acc * z + c
     return acc
 
@@ -285,18 +286,6 @@ _ZERO = _Exact.of(0j)
 _ONE = _Exact.of(1 + 0j)
 
 
-def _exact_poly_from_roots(roots: Iterable[tuple[_Exact, int]], lead: _Exact) -> list[_Exact]:
-    coeffs = [lead]
-    for root, mult in roots:
-        for _ in range(mult):
-            # multiply by (w - root), ascending order
-            shifted = [_ZERO] + coeffs
-            for i, c in enumerate(coeffs):
-                shifted[i] = shifted[i] - root * c
-            coeffs = shifted
-    return coeffs
-
-
 def _series_divide(num: list[_Exact], den: list[_Exact], order: int) -> list[_Exact]:
     """The first ``order`` coefficients of num / den.  den[0] is nonzero: it
     is a product of differences of distinct poles."""
@@ -328,8 +317,8 @@ class PartialFractions:
     exact: tuple[tuple[_Exact, ...], tuple[tuple[_Exact, int, _Exact], ...]] = field(repr=False, compare=False)
 
     def __call__(self, z: complex) -> complex:
-        value = _poly_eval(np.array(self.polynomial, dtype=complex), z)
-        scale = _poly_eval(np.abs(self.polynomial), abs(z)).real
+        value = _poly_eval(self.polynomial, z)
+        scale = _poly_eval([abs(c) for c in self.polynomial], abs(z))
         for pole, order, coeff in self.terms:
             part = coeff / (z - pole) ** order
             value += part
@@ -338,9 +327,7 @@ class PartialFractions:
             return value
         polynomial, terms = self.exact
         w = _Exact.of(z)
-        exact = _ZERO
-        for c in reversed(polynomial):
-            exact = exact * w + c
+        exact = _poly_eval(polynomial, w)
         for pole, order, coeff in terms:
             power = _ONE
             for _ in range(order):
@@ -355,8 +342,8 @@ def partial_fractions(f: RationalMap) -> PartialFractions:
     constant = _Exact.of(f.constant)
     zeros = [(_Exact.of(z), h) for z, h in f.zeros]
     poles = [(_Exact.of(p), k) for p, k in f.poles]
-    num = _exact_poly_from_roots(zeros, constant)
-    den = _exact_poly_from_roots(poles, _ONE)
+    num = _poly_from_roots(zeros, constant)
+    den = _poly_from_roots(poles, _ONE)
     poly = [_ZERO]
     if len(num) >= len(den):
         # ascending-order long division by the monic denominator: strip
@@ -371,8 +358,8 @@ def partial_fractions(f: RationalMap) -> PartialFractions:
     terms = []
     for i, (p_i, k_i) in enumerate(poles):
         # principal part at p_i from the factored form in w = z - p_i
-        num_taylor = _exact_poly_from_roots([(z - p_i, h) for z, h in zeros], constant)
-        other_taylor = _exact_poly_from_roots([(p - p_i, k) for n, (p, k) in enumerate(poles) if n != i], _ONE)
+        num_taylor = _poly_from_roots([(z - p_i, h) for z, h in zeros], constant)
+        other_taylor = _poly_from_roots([(p - p_i, k) for n, (p, k) in enumerate(poles) if n != i], _ONE)
         series = _series_divide(num_taylor, other_taylor, k_i)
         for j in range(1, k_i + 1):
             coeff = series[k_i - j]
@@ -397,7 +384,7 @@ def _log_derivative_numerator(f: RationalMap) -> np.ndarray:
     points = [(complex(z), h) for z, h in f.zeros] + [(complex(p), -k) for p, k in f.poles]
     q = np.zeros(max(len(points), 1), dtype=complex)
     for i, (_, w) in enumerate(points):
-        term = _poly_from_roots([(a, 1) for j, (a, _) in enumerate(points) if j != i], lead=w)
+        term = _poly_from_roots([(a, 1) for j, (a, _) in enumerate(points) if j != i], lead=complex(w))
         q[: len(term)] += term
     return _poly_trim(q, tol=1e-13)
 
@@ -407,7 +394,7 @@ def derivative(f: RationalMap) -> tuple[complex, ...]:
     f' = c prod (z - z_i)^(h_i - 1) Q / prod (z - p_j)^(k_j + 1), with Q the
     log-derivative numerator; the form is reduced, as Q vanishes at no zero
     or pole."""
-    repeated = _poly_from_roots([(z, h - 1) for z, h in f.zeros], lead=f.constant)
+    repeated = _poly_from_roots([(z, h - 1) for z, h in f.zeros], lead=complex(f.constant))
     return tuple(np.convolve(repeated, _log_derivative_numerator(f)).tolist())
 
 
@@ -442,7 +429,7 @@ def preimages(f: RationalMap, w: ExtendedPoint) -> list[tuple[ExtendedPoint, int
     elif w == 0:
         found, at_infinity = f.zeros, f.pole_count - f.zero_count
     else:
-        num = _poly_from_roots(f.zeros, lead=f.constant)
+        num = _poly_from_roots(f.zeros, lead=complex(f.constant))
         den = _poly_from_roots(f.poles)
         width = max(len(num), len(den))
         num = np.pad(num, (0, width - len(num)))
@@ -504,10 +491,7 @@ def build_zeta_hat(
 
 def zeta_hat_params(rmap: RationalMap, bd: BranchData) -> dict:
     """JSON-ready parameter block for the CLI's extend command."""
-    ram = []
-    for point, e in bd.ramification:
-        ram.append({"point": "inf" if is_infinity(point) else {"re": point.real, "im": point.imag},
-                    "index": e})
+    ram = [{"point": _point_json(point), "index": e} for point, e in bd.ramification]
     return {
         "constant": {"re": rmap.constant.real, "im": rmap.constant.imag},
         "zeros": [{"re": z.real, "im": z.imag, "multiplicity": h} for z, h in rmap.zeros],

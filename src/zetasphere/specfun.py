@@ -86,14 +86,16 @@ def finite_argument(s, name: str) -> complex:
 
 def exp_in_range(log_value: complex, name: str, s: complex, factor: complex = 1.0) -> complex:
     """factor * exp(log_value) for the value of ``name`` at ``s`` taken in
-    log space; DomainError naming the point where it leaves double range."""
+    log space; DomainError naming the point where it leaves double range.
+    Gamma, f and the completed zeta are real on the real axis, so a real s
+    gets a real value, not the ~1e-16 imaginary part of exp(x + i k pi)."""
     try:
         value = factor * cmath.exp(log_value)
     except OverflowError:
         value = complex(math.inf)
     if not cmath.isfinite(value):
         raise DomainError(f"{name} at s = {s} leaves double range")
-    return value
+    return complex(value.real) if s.imag == 0 else value
 
 
 def _lanczos_sum(zm: complex) -> complex:

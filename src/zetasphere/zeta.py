@@ -12,8 +12,9 @@ Evaluation strategy:
   switch sits at 1/2 (not 0) so both sides stay well conditioned.
 * |1 - 2^(1-s)| < 1e-2 (the eta-denominator zeros on Re s = 1): direct
   Euler-Maclaurin summation.
-* |s| < 1e-6: the 0*inf product sin(pi s/2) * zeta(1-s) is expanded so the
-  limit value -1/2 comes out of the same formula instead of a 0 * pole.
+* |s| < 1e-2 / ln 2, where zeta(1-s) would take the Euler-Maclaurin route:
+  sin(pi s/2) * zeta(1-s) is expanded with zeta's Laurent series at 1, so
+  the limit -1/2 and its neighbours come out without a 0 * pole.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ STIELTJES = (
 _LN2 = math.log(2.0)
 _ACCEL_RATE = math.log(3.0 + math.sqrt(8.0))
 _ETA_FALLBACK_WINDOW = 1e-2
-_SMALL_S_WINDOW = 1e-6
 # absolute tolerance of the accelerated eta sum, and its term cap
 _ETA_TOLERANCE = 1e-14
 _ETA_MAX_TERMS = 10**7
@@ -108,8 +108,11 @@ def _powers(s: complex, n: int) -> np.ndarray:
     n = 928), and every other term is one complex product.  Terms with S = 1
     or m = 1 are multiplied by exactly 1.  Below _SPLIT_MIN_TERMS the two
     gathers cost more than the exponentials they save, so those sums
-    exponentiate every term.
+    exponentiate every term.  Past Re s = 1075 every k^-s but 1^-s rounds to
+    0, and -s log k, which overflows for |s| ~ 1e308, is not formed.
     """
+    if s.real > 1075:
+        return np.eye(1, n, dtype=complex)[0]
     logk, log_basis, i_smooth, i_rough = _power_table(n)
     if log_basis is None:
         return np.exp(-s * logk)
@@ -260,7 +263,8 @@ def zeta_eval(s: complex) -> complex:
         raise PoleError(1.0, residue=1.0)
     if s.real >= 0.5:
         return _zeta_right_half(s)
-    if abs(s) < _SMALL_S_WINDOW:
+    # |1 - 2^s| ~ |s| ln 2: zeta(1 - s) at the rounded 1 - s loses u / |Re s|
+    if abs(s) < _ETA_FALLBACK_WINDOW / _LN2:
         return _zeta_small_s(s)
     return f_factor(s) * _zeta_right_half(1 - s)
 

@@ -162,6 +162,18 @@ ZETA_NEAR_TRIVIAL = (
     (-60.0003, -1.6060869944676420e+30),
     (-250.0001, 4.6105142782375651e+288),
 )
+# next to s = 0, out to |s| = 0.014, where zeta(1 - s) sits next to its
+# pole: real, imaginary and oblique s, (s, zeta(s))
+ZETA_NEAR_ORIGIN = (
+    (complex(2e-06, 0.0), complex(-0.50000183788107913, 0.0)),
+    (complex(-3e-05, 0.0), complex(-0.49997243274683724, 0.0)),
+    (complex(1e-05, -2e-05), complex(-0.50000918908436757, 1.8379171933382828e-5)),
+    (complex(0.0, 0.0005), complex(-0.49999974920550550, -0.00045946914150421832)),
+    (complex(0.003, 0.0), complex(-0.50276587130609981, 0.0)),
+    (complex(-0.004, 0.009), complex(-0.49625994695677054, -0.0081979300454951516)),
+    (complex(-0.0123, 0.0), complex(-0.48884698715533831, 0.0)),
+    (complex(0.0095, -0.01), complex(-0.50871810458366887, 0.0093816939294185294)),
+)
 # Lambda'/Lambda of the completed zeta: both sides of the line, out to
 # t ~ 990, and on the eta-denominator zeros 1 + 2 pi i k / ln 2 (k = 1, 100)
 # and the reflection 1 - s of the first

@@ -72,6 +72,20 @@ class TestEval:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: pole at -100000000000000000")
 
+    @pytest.mark.parametrize(
+        "argv, printed",
+        [
+            (("zeta", "1e308"), "1+0i"),
+            (("zeta", "--", "-1e308"), "0+0i"),
+            (("eta", "1e308"), "1+0i"),
+            (("gamma", "--", "-0.5"), "-3.54490770181103+0i"),
+        ],
+    )
+    def test_range_ends_and_real_values_under_warnings_as_errors(self, argv, printed):
+        proc = run_cli("eval", *argv, env_extra={"PYTHONWARNINGS": "error"})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == printed
+
     def test_completed_half_discrepancy_note(self):
         proc = run_cli("eval", "completed", "0.5+0i")
         assert proc.returncode == 0

@@ -48,6 +48,29 @@ divisor_entries = st.dictionaries(
 )
 
 
+def _with_cancellations(pairs, negate):
+    """pairs, then the negation of each pair flagged in ``negate``."""
+    return pairs + [(p, -m) for (p, m), flip in zip(pairs, negate) if flip]
+
+
+# (point, multiplicity) pairs over few points, so points repeat and some
+# sums cancel to 0
+divisor_pairs = st.builds(
+    _with_cancellations,
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.just(INFINITY),
+                st.builds(complex, st.integers(-1, 1).map(float), st.integers(-1, 1).map(float)),
+            ),
+            st.integers(min_value=-3, max_value=3),
+        ),
+        max_size=8,
+    ),
+    st.lists(st.booleans(), min_size=8, max_size=8),
+)
+
+
 def distinct_points(points, min_gap=1e-3):
     kept = []
     for p in points:
@@ -126,6 +149,21 @@ class TestDivisorBatteries:
         a, b = Divisor(a_entries), Divisor(b_entries)
         assert divisor_degree(divisor_add(a, b)) == divisor_degree(a) + divisor_degree(b)
         assert divisor_degree(divisor_negate(a)) == -divisor_degree(a)
+
+    @BATTERY
+    @given(divisor_pairs)
+    def test_pairs_merge_as_the_sum_of_one_point_divisors(self, pairs):
+        merged = Divisor(pairs)
+        folded = Divisor()
+        for point, mult in pairs:
+            folded = divisor_add(folded, Divisor({point: mult}))
+        assert merged == folded
+        assert divisor_degree(merged) == sum(m for _, m in pairs)
+        assert all(m != 0 for _, m in merged.items())
+        net = {}
+        for point, mult in pairs:
+            net[point] = net.get(point, 0) + mult
+        assert Divisor(net) == merged
 
     @BATTERY
     @given(small_maps)

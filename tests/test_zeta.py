@@ -44,6 +44,7 @@ from reference_values import (
     ZETA_FAR_LEFT,
     ZETA_HALF,
     ZETA_LINE_HIGH,
+    ZETA_NEAR_ORIGIN,
     ZETA_NEAR_TRIVIAL,
     ZETA_REFLECTED_HIGH,
     ZETA_SPOT,
@@ -239,6 +240,28 @@ class TestZeta:
     def test_next_to_trivial_zeros(self):
         for x, ref in ZETA_NEAR_TRIVIAL:
             assert abs(zeta_eval(x) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.filterwarnings("error")
+    def test_ends_of_double_range_warn_nothing(self):
+        # -s log k overflows for |s| ~ 1e308, and its RuntimeWarning raises
+        # under -W error; zeta(-1e308) = f(s) zeta(1 + 1e308) with f(s) = 0
+        assert zeta_eval(1e308) == 1
+        assert zeta_eval(-1e308) == 0
+        assert eta_eval(1e308) == 1
+
+    @pytest.mark.parametrize("function", [gamma, f_factor])
+    def test_real_on_the_real_axis(self, function):
+        # exp of a log with Im = k pi carries a ~1e-16 imaginary part
+        rng = random.Random(24)
+        points = [k + 0.5 for k in range(-60, 60)] + [rng.uniform(-60.0, 60.0) for _ in range(300)]
+        for x in points:
+            assert function(x).imag == 0.0, x
+
+    def test_next_to_the_origin(self):
+        # zeta(1 - s) at the rounded 1 - s would lose ~u / |Re s| (2.7e-11 at
+        # s = 2e-6); the Laurent route is within 1.6e-15 on |s| < 0.01 / ln 2
+        for s, ref in ZETA_NEAR_ORIGIN:
+            assert abs(zeta_eval(s) - ref) <= 4e-15 * abs(ref)
 
     @pytest.mark.parametrize("s", [complex(math.nan, 1.0), complex(math.inf, 0.0), complex(0.5, -math.inf)])
     def test_non_finite_argument(self, s):

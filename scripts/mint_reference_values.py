@@ -167,6 +167,24 @@ def main():
         z = mp.zeta(mp.mpc(*s0))
         print("    (complex%r, complex(%s, %s))," % (s0, fmt(z.real), fmt(z.imag)))
     print(")")
+    # zeta and zeta' where the package sums them by Euler-Maclaurin: next to
+    # the eta-denominator zeros 1 + 2 pi i k / ln 2 (k = 1, 10, 50, 110, as
+    # doubles, both signs of Im s) and in 0.06 <= Re s < 1/2, |Im s| <= 20,
+    # where the functional suite takes zeta(1 - s); zeta' is confirmed by
+    # numerical differentiation: (s, zeta(s), zeta'(s))
+    print("ZETA_EULER_MACLAURIN = (")
+    t_k = {k: float(2 * k * mp.pi / mp.log(2)) for k in (1, 10, 50, 110)}
+    points = [(1.0, t_k[1]), (1.006, t_k[1] - 0.004), (1.0, t_k[10]), (0.995, -t_k[10] + 0.003),
+              (1.0, t_k[50]), (1.004, t_k[50] + 0.005), (1.0, t_k[110]), (0.996, -t_k[110] - 0.002),
+              (0.06, -19.63), (0.1, -3.0), (0.157, 7.5), (0.25, 14.1347), (0.3, 19.9),
+              (0.4, -11.0), (0.45, 0.2), (0.4999, 5.0)]
+    for s0 in points:
+        s = mp.mpc(*s0)
+        z, dz = mp.zeta(s), mp.zeta(s, 1, 1)
+        assert abs(dz - mp.diff(mp.zeta, s)) < mp.mpf(10) ** -25 * abs(dz), s0
+        print("    (complex%r, complex(%s, %s), complex(%s, %s))," % (
+            s0, fmt(z.real), fmt(z.imag), fmt(dz.real), fmt(dz.imag)))
+    print(")")
     # Lambda'/Lambda for Lambda(s) = pi^(-s/2) Gamma(s/2) zeta(s): right and
     # left of the critical line, out to t ~ 990, and on the eta-denominator
     # zeros 1 + 2 pi i k / ln 2 (as doubles) and their reflection through

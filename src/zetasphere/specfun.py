@@ -1,12 +1,13 @@
 """Complex Gamma, log-Gamma, digamma, and the closed-form Gamma moduli.
 
 The Gamma core is a Lanczos rational approximation (g = 7, 9 terms,
-~15 significant digits).  Gamma is its product on Re s >= 1/2 with
-|Im s| <= LOG_SPACE_IM and exp(log Gamma) everywhere else.  log Gamma
-reflects only for Re(s) <= 0; in 0 < Re(s) < 1/2 it takes one shift,
-log Gamma(s) = log Gamma(s + 1) - log s, which needs no sine.  Nothing
-overflows before the value itself leaves double range; there a DomainError
-names the point.
+~15 significant digits), one expression over the nine constants with no
+per-call loop; sqrt(2 pi) and its log are module constants.  Gamma is its
+product on Re s >= 1/2 with |Im s| <= LOG_SPACE_IM and exp(log Gamma)
+everywhere else.  log Gamma reflects only for Re(s) <= 0; in
+0 < Re(s) < 1/2 it takes one shift, log Gamma(s) = log Gamma(s + 1) -
+log s, which needs no sine.  Nothing overflows before the value itself
+leaves double range; there a DomainError names the point.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import DomainError, PoleError
 EULER_GAMMA = 0.5772156649015329
 _LNPI = math.log(math.pi)
 _LN_SQRT_2PI = 0.5 * math.log(2 * math.pi)
+_SQRT_2PI = math.sqrt(2 * math.pi)
 
 POLE_WINDOW = 1e-12
 # past this |Im s|, products holding sin(pi s) or Gamma are taken in log
@@ -98,11 +100,15 @@ def exp_in_range(log_value: complex, name: str, s: complex, factor: complex = 1.
     return complex(value.real) if s.imag == 0 else value
 
 
+_C0, _C1, _C2, _C3, _C4, _C5, _C6, _C7, _C8 = _LANCZOS_C
+
+
 def _lanczos_sum(zm: complex) -> complex:
-    a = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        a += _LANCZOS_C[i] / (zm + i)
-    return a
+    """c_0 + sum c_i / (zm + i), added left to right in one expression."""
+    return (
+        _C0 + _C1 / (zm + 1) + _C2 / (zm + 2) + _C3 / (zm + 3) + _C4 / (zm + 4)
+        + _C5 / (zm + 5) + _C6 / (zm + 6) + _C7 / (zm + 7) + _C8 / (zm + 8)
+    )
 
 
 def sin_pi(z: complex) -> complex:
@@ -180,7 +186,7 @@ def gamma(s: complex) -> complex:
     t = zm + _LANCZOS_G + 0.5
     try:
         half = t ** (0.5 * (zm + 0.5))
-        value = math.sqrt(2 * math.pi) * half * cmath.exp(-t) * half * _lanczos_sum(zm)
+        value = _SQRT_2PI * half * cmath.exp(-t) * half * _lanczos_sum(zm)
     except OverflowError:
         value = complex(math.inf)
     if not cmath.isfinite(value):
@@ -268,7 +274,7 @@ def gamma_abs_critical(y: float) -> float:
     """
     py = math.pi * abs(y)
     if py > 700:
-        return math.sqrt(2 * math.pi) * math.exp(-0.5 * py)
+        return _SQRT_2PI * math.exp(-0.5 * py)
     return math.sqrt(math.pi * (1.0 / math.cosh(py)))
 
 

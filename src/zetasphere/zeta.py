@@ -192,7 +192,9 @@ def _zeta_euler_maclaurin(s: complex, derivative: bool = False):
     the pair (zeta(s), zeta'(s)), zeta' from the same terms differentiated
     in s.  n^-s is the prefix of _powers for N rounded up to 32, which keeps
     the _power_table keys to multiples of 32 and leaves the terms n <= N as
-    they are."""
+    they are.  The correction powers N^(1 - s - 2k) start from N^-s / N and
+    step down by the real factor N^-2, so besides the n^-s the sum takes
+    two complex exponentials, N^(1 - s) and N^-s."""
     n_cut = max(30, int(1.3 * abs(s.imag)))
     n_table = -(-n_cut // 32) * 32
     log_n = _power_table(n_table)[0][:n_cut]
@@ -200,19 +202,21 @@ def _zeta_euler_maclaurin(s: complex, derivative: bool = False):
     ln_n = math.log(n_cut)
     head = cmath.exp((1 - s) * ln_n) / (s - 1)
     last = cmath.exp(-s * ln_n)
-    total = complex(np.sum(powers))
+    total = complex(powers.sum())
     total += head - 0.5 * last
     if derivative:
         d_total = -complex(log_n @ powers) - head * (ln_n + 1 / (s - 1)) + 0.5 * ln_n * last
         d_rising = 1.0
     rising = s
+    power = last / n_cut
+    inv_n2 = 1.0 / (n_cut * n_cut)
     for k, coef in enumerate(_em_coefficients(), start=1):
-        power = cmath.exp((1 - s - 2 * k) * ln_n)
         total += coef * rising * power
         if derivative:
             d_total += coef * (d_rising - ln_n * rising) * power
             d_rising = d_rising * (s + 2 * k - 1) * (s + 2 * k) + rising * (2 * s + 4 * k - 1)
         rising = rising * (s + 2 * k - 1) * (s + 2 * k)
+        power *= inv_n2
     return (total, d_total) if derivative else total
 
 
@@ -389,7 +393,10 @@ def zeta_log_logderiv_row(t: float):
     Every point of the row takes the same eta term count, so the phases
     k^-it, with the weights and log-weighted weights folded in, are formed
     once, as the real and imaginary rows of a 4 x n matrix W; a point then
-    costs one real exponential k^-sigma per term and W @ k^-sigma.  Only
+    costs one real exponential k^-sigma per term and W @ k^-sigma, and past
+    sigma = 1075, where every k^-sigma but 1^-sigma rounds to 0, the unit
+    vector stands in for k^-sigma, so sigma log k, which overflows for
+    sigma ~ 1e308, is not formed.  Only
     the order in which the terms are rounded and summed differs from
     zeta_log_logderiv: the two agree to ~1e-15 relative below t = 1000.
     """
@@ -402,7 +409,8 @@ def zeta_log_logderiv_row(t: float):
     neg_logk = -_power_table(n)[0]
 
     def eta_pair(s: complex) -> tuple[complex, complex]:
-        re_eta, im_eta, re_d, im_d = (w @ np.exp(s.real * neg_logk)).tolist()
+        k_sigma = np.eye(1, n)[0] if s.real > 1075 else np.exp(s.real * neg_logk)
+        re_eta, im_eta, re_d, im_d = (w @ k_sigma).tolist()
         return complex(re_eta, im_eta), complex(re_d, im_d)
 
     return lambda sigma: _log_logderiv(complex(sigma, row.imag), eta_pair)
@@ -452,12 +460,20 @@ def primes_below(bound: int) -> np.ndarray:
     return np.flatnonzero(sieve)
 
 
+@lru_cache(maxsize=None)
+def _log_primes() -> np.ndarray:
+    """log p for the primes p < 10^4, sieved once per process."""
+    return np.log(primes_below(10**4))
+
+
 def euler_product_partial(s: complex) -> complex:
-    """prod over primes p < 10^4 of 1/(1 - p^-s); needs Re(s) > 1."""
+    """prod over primes p < 10^4 of 1/(1 - p^-s); needs Re(s) > 1.  The
+    primes and their logs are built once per process (_log_primes); each
+    call forms only the p^-s."""
     s = finite_argument(s, "euler_product_partial")
     if s.real <= 1:
         raise DomainError("Euler product requires Re(s) > 1")
-    return complex(1 / np.prod(1 - np.exp(-s * np.log(primes_below(10**4)))))
+    return complex(1 / np.prod(1 - np.exp(-s * _log_primes())))
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,28 @@ ZETA_NEAR_ORIGIN = (
     (complex(-0.0123, 0.0), complex(-0.48884698715533831, 0.0)),
     (complex(0.0095, -0.01), complex(-0.50871810458366887, 0.0093816939294185294)),
 )
+# zeta and zeta' where the package sums them by Euler-Maclaurin: next to the
+# eta-denominator zeros 1 + 2 pi i k / ln 2 (k = 1, 10, 50, 110, both signs
+# of Im s) and in 0.06 <= Re s < 1/2, |Im s| <= 20, where the functional
+# suite takes zeta(1 - s): (s, zeta(s), zeta'(s))
+ZETA_EULER_MACLAURIN = (
+    (complex(1.0, 9.064720283654388), complex(1.3465795428363171, 0.10988313679626950), complex(-0.19775762449846372, -0.10449194142334298)),
+    (complex(1.006, 9.060720283654389), complex(1.3449782878830289, 0.11004580391866216), complex(-0.19678922011024107, -0.10431640503660882)),
+    (complex(1.0, 90.64720283654388), complex(2.5528297138450704, 0.27316187397963006), complex(-2.2533467427239235, -0.41046268029206122)),
+    (complex(0.995, -90.64420283654388), complex(2.5628855519489416, -0.28204120932277020), complex(-2.2712074792595734, 0.42659354570194104)),
+    (complex(1.0, 453.2360141827194), complex(1.8736510419578093, -1.3020970291036770), complex(-0.64851949739352004, 2.8508000278171525)),
+    (complex(1.004, 453.24101418271937), complex(1.8569525111754739, -1.2939133871171908), complex(-0.61387432525203734, 2.8188289461789014)),
+    (complex(1.0, 997.1192312019826), complex(1.3485231590529126, -0.40656080106033328), complex(-0.17590470317142514, 0.85263482519642257)),
+    (complex(0.996, -997.1212312019826), complex(1.3474968337258084, 0.41034278424183476), complex(-0.16992188194550361, -0.86545327596024103)),
+    (complex(0.06, -19.63), complex(0.69257078683251996, 1.9364213000174996), complex(0.44726301859346070, -1.9626500821881707)),
+    (complex(0.1, -3.0), complex(0.45748513482791189, 0.045723698181463162), complex(0.18344641129786955, 0.091047972462868556)),
+    (complex(0.157, 7.5), complex(1.1393588547972454, 0.47569608281372785), complex(-0.024414229588507379, -0.26441866520894614)),
+    (complex(0.25, 14.1347), complex(-0.21630087187451075, -0.039283414481580634), complex(0.95249676392982921, 0.19330136406668135)),
+    (complex(0.3, 19.9), complex(0.39848015331389427, -1.3716543691791777), complex(0.76135122366110053, 1.3414767761002922)),
+    (complex(0.4, -11.0), complex(1.4564509329519699, 0.51476329772470735), complex(-0.38345010231419017, -0.27632309726092341)),
+    (complex(0.45, 0.2), complex(-1.0699080500612049, -0.56838351158240575), complex(-2.1598960704561510, -1.8770741468265361)),
+    (complex(0.4999, 5.0), complex(0.70179970927132555, 0.23104928301221120), complex(0.12662100050756215, -0.11274765644868013)),
+)
 # Lambda'/Lambda of the completed zeta: both sides of the line, out to
 # t ~ 990, and on the eta-denominator zeros 1 + 2 pi i k / ln 2 (k = 1, 100)
 # and the reflection 1 - s of the first

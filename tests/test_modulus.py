@@ -145,13 +145,32 @@ class TestCriterion:
         assert value == pytest.approx(f_abs_product(s0), abs=1e-6)
         assert abs(value - 1.0) > 0.1
 
-    @pytest.mark.parametrize("s0, evaluations", [(complex(0.5, 7.3), 8), (complex(0.3, 2.0), 16)])
+    @pytest.mark.parametrize("s0, evaluations", [(complex(0.5, 7.3), 6), (complex(0.3, 2.0), 16)])
     def test_each_point_is_evaluated_once(self, monkeypatch, s0, evaluations):
-        # on the line the denominator circle is the numerator circle
+        # on the line the denominator circle is the numerator circle, and its
+        # samples j = 2 and 6 are their own mirror, so they take no zeta
         calls = []
         monkeypatch.setattr(modulus, "zeta_eval", lambda s: calls.append(s) or zeta_eval(s))
         criterion_ratio(s0)
         assert len(calls) == evaluations
+        assert len(set(calls)) == evaluations
+
+    @pytest.mark.parametrize("t", [7.3, ZERO_ORDINATES[0], -123.456, 999.0])
+    def test_on_line_equals_the_eight_evaluation_mean(self, t):
+        # every sample's ratio, the self-mirrored ones included, summed in order
+        s0 = complex(0.5, t)
+        mirror = complex(1.0 - s0.real, s0.imag)
+        r, roots = modulus.CRITERION_RADIUS, modulus._UNIT_ROOTS
+        total = 0.0
+        for j, u in enumerate(roots):
+            total += abs(zeta_eval(s0 + r * u)) / abs(zeta_eval(mirror + r * roots[(4 - j) % 8]))
+        assert criterion_ratio(s0) == total / 8
+
+    @pytest.mark.parametrize("s0", [complex(0.5, 7.3), complex(0.3, 2.0)])
+    def test_zero_modulus_in_a_denominator_is_typed(self, monkeypatch, s0):
+        monkeypatch.setattr(modulus, "zeta_eval", lambda s: 0j)
+        with pytest.raises(DomainError, match="criterion_ratio .*is 0 at"):
+            criterion_ratio(s0)
 
     def test_matches_the_sixteen_evaluation_loop(self):
         rng = random.Random(8)

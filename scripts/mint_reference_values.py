@@ -60,6 +60,14 @@ def main():
         p = mp.digamma(mp.mpc(*s0))
         print("    (complex%r, complex(%s, %s))," % (s0, fmt(p.real), fmt(p.imag)))
     print(")")
+    # psi where both parts of s pass ~1.34e154 and s * s is inf - inf, out to
+    # 1e300, on both sides of the reflection at Re s = 1/2
+    print("DIGAMMA_FAR = (")
+    for s0 in ((1e154, 1e154), (1.35e154, 1.35e154), (-2e160, 5e159), (3e200, -4e200),
+               (-1e250, -1e250), (1e300, 2e299), (5e299, -1e300)):
+        p = mp.digamma(mp.mpc(*s0))
+        print("    (complex%r, complex(%s, %s))," % (s0, fmt(p.real), fmt(p.imag)))
+    print(")")
     # log Gamma in 0 < Re s < 1/2, taken by one shift from Re s + 1; out to
     # Im s = 500, Hardy Z's log Gamma(s/2) at t = 1000
     print("LOGGAMMA_STRIP = (")

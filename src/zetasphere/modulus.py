@@ -14,7 +14,7 @@ from typing import Callable
 
 from .errors import DomainError
 from .report import VerificationItem, make_item
-from .specfun import gamma, psi_pair
+from .specfun import ROOT_FIRST_PI_Y, exp_in_range, gamma, in_range, psi_pair
 from .zeta import f_factor, zeta_eval
 
 CRITERION_SAMPLES = 8
@@ -57,12 +57,9 @@ def _bracket_root(s: complex, who: str) -> float:
     below the rounding, e^(pi |y| / 2), which overflows from |y| ~ 451.8."""
     x, y = s.real, s.imag
     py = math.pi * abs(y)
-    if py <= 700:
+    if py <= ROOT_FIRST_PI_Y:
         return math.sqrt(2.0 * math.cosh(math.pi * y) + 2.0 * (2.0 * math.sin(math.pi * x / 2) ** 2 - 1.0))
-    try:
-        return math.exp(0.5 * py)
-    except OverflowError:
-        raise DomainError(f"{who} at s = {s}: the bracket's root leaves double range") from None
+    return exp_in_range(0.5 * py, who, s).real
 
 
 def f_abs_closed(s: complex) -> ModulusBreakdown:
@@ -107,10 +104,7 @@ def f_abs_dx(s: complex) -> float:
     brace_over_root = math.log(2 * math.pi) * root + 2 * math.pi * sin_cos / (root * root)
     term1 = (gamma_abs * root) * (2 * math.pi) ** (x - 1) * brace_over_root
     term2 = (2 * math.pi) ** (x - 1) * root * gamma_abs_dx(s)
-    value = term1 + term2
-    if not math.isfinite(value):
-        raise DomainError(f"f_abs_dx at s = {s} leaves double range")
-    return value
+    return in_range(term1 + term2, "f_abs_dx", s)
 
 
 def central_dx(fn: Callable[[complex], float], s: complex, h: float) -> float:

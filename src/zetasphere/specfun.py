@@ -29,6 +29,8 @@ POLE_WINDOW = 1e-12
 # past this |Im s|, products holding sin(pi s) or Gamma are taken in log
 # space: those factors leave double range long before the products do
 LOG_SPACE_IM = 20.0
+# pi |y| past which the closed-form moduli take e^(-+pi |y| / 2) for a root
+ROOT_FIRST_PI_Y = 700.0
 
 # Lanczos g=7 coefficient set (Godfrey / Boost), ~1e-13 relative on the
 # right half plane.
@@ -68,14 +70,13 @@ _SERIES_MAX_ARG = math.sqrt(sys.float_info.max / (2 * _SERIES_TERMS)) - _SERIES_
 _REFLECTION_MAX_IM = 1e4
 
 
-def _nonpositive_integer_index(s: complex) -> int | None:
-    """Index k >= 0 when s is within POLE_WINDOW of -k, else None."""
-    if abs(s.imag) > POLE_WINDOW or s.real > POLE_WINDOW:
+def lattice_point(s: complex) -> int | None:
+    """The integer n with |Im s| <= POLE_WINDOW and |Re s - n| <= POLE_WINDOW,
+    or None; |Im s| is tested first, so an off-axis s exits at once."""
+    if abs(s.imag) > POLE_WINDOW:
         return None
-    k = round(-s.real)
-    if k >= 0 and abs(s.real + k) <= POLE_WINDOW:
-        return k
-    return None
+    n = round(s.real)
+    return n if abs(s.real - n) <= POLE_WINDOW else None
 
 
 def finite_argument(s, name: str) -> complex:
@@ -86,17 +87,25 @@ def finite_argument(s, name: str) -> complex:
     return s
 
 
-def exp_in_range(log_value: complex, name: str, s: complex, factor: complex = 1.0) -> complex:
-    """factor * exp(log_value) for the value of ``name`` at ``s`` taken in
-    log space; DomainError naming the point where it leaves double range.
-    Gamma, f and the completed zeta are real on the real axis, so a real s
-    gets a real value, not the ~1e-16 imaginary part of exp(x + i k pi)."""
-    try:
-        value = factor * cmath.exp(log_value)
-    except OverflowError:
-        value = complex(math.inf)
+def in_range(value: complex, name: str, s: complex) -> complex:
+    """value, or DomainError naming ``name`` at ``s`` if it is not finite."""
     if not cmath.isfinite(value):
         raise DomainError(f"{name} at s = {s} leaves double range")
+    return value
+
+
+def exp_in_range(log_value: complex, name: str, s: complex, factor: complex = 1.0) -> complex:
+    """factor * exp(log_value) for the value of ``name`` at ``s`` taken in
+    log space, the one exit for such values: DomainError naming the point
+    where the value leaves double range or the log's imaginary part is
+    infinite (cmath.exp's ValueError; a real part of -inf gives 0).  Gamma,
+    f and the completed zeta are real on the real axis, so a real s gets a
+    real value, not the ~1e-16 imaginary part of exp(x + i k pi)."""
+    try:
+        value = factor * cmath.exp(log_value)
+    except (OverflowError, ValueError):
+        value = complex(math.inf)
+    value = in_range(value, name, s)
     return complex(value.real) if s.imag == 0 else value
 
 
@@ -143,12 +152,25 @@ def loggamma(s: complex) -> complex:
     large |Im s|, Hardy's Z on the critical line).  For 0 < Re s < 1/2 it is
     log Gamma(s + 1) - log s, one Lanczos sum and no sine; the reflection
     is kept for Re s <= 0.
+
+    PoleError within POLE_WINDOW of -k, k >= 0 (:func:`lattice_point`),
+    with index k and residue (-1)^k / k!.  DomainError naming the point
+    where log Gamma itself leaves double range: its real part from
+    Re s ~ 2.5e305 on the real axis (|s log s| passes 1.8e308), its
+    imaginary part once |Im s| log |s| does (from |Im s| ~ 2.5e305).
     """
     s = finite_argument(s, "loggamma")
-    k = _nonpositive_integer_index(s)
-    if k is not None:
-        # past k = 170, k! is no double and 1/k! is subnormal, 0.0 from k = 178
-        residue = 1 / math.factorial(k) if k <= 170 else math.exp(-math.lgamma(k + 1))
+    return in_range(_loggamma(s), "loggamma", s)
+
+
+def _loggamma(s: complex) -> complex:
+    """log Gamma at a finite s, unchecked: Gamma and f take it into
+    exp_in_range, where a real part of -inf is a value that underflows to 0."""
+    if (n := lattice_point(s)) is not None and n <= 0:
+        k = -n
+        # past k = 170, k! is no double and 1/k! is subnormal, 0.0 from
+        # k = 178; lgamma(k + 1) itself overflows from k ~ 2.5e305
+        residue = 1 / math.factorial(k) if k <= 170 else math.exp(-math.lgamma(min(k, 178) + 1))
         raise PoleError(-k, residue=(-1.0) ** k * residue, index=k)
     if s.real <= 0:
         return _LNPI - _logsin_pi(s) - _loggamma_lanczos(1 - s)
@@ -175,11 +197,13 @@ def gamma(s: complex) -> complex:
 
     PoleError from :func:`loggamma` at non-positive integers (within
     1e-12), carrying the pole index k and the residue (-1)^k / k!.
-    DomainError where the value leaves double range (from Re s ~ 171.6).
+    DomainError where the value leaves double range (from Re s ~ 171.6),
+    and where Im log Gamma does (from |Im s| ~ 2.5e305) unless the value
+    has underflowed to 0 there.
     """
     s = finite_argument(s, "Gamma")
     if s.real < 0.5 or abs(s.imag) > LOG_SPACE_IM:
-        return exp_in_range(loggamma(s), "Gamma", s)
+        return exp_in_range(_loggamma(s), "Gamma", s)
     # t^(s-1/2) as two half powers about e^-t, in double range as far as
     # Gamma is; the whole power overflows from Re s ~ 142.2
     zm = s - 1
@@ -189,24 +213,30 @@ def gamma(s: complex) -> complex:
         value = _SQRT_2PI * half * cmath.exp(-t) * half * _lanczos_sum(zm)
     except OverflowError:
         value = complex(math.inf)
-    if not cmath.isfinite(value):
-        raise DomainError(f"Gamma at s = {s} leaves double range")
-    return value
+    return in_range(value, "Gamma", s)
 
 
 def digamma(s: complex) -> complex:
-    """psi(s) by recurrence shift to |s| >= 10 plus asymptotic expansion."""
+    """psi(s) by recurrence shift to |s| >= 10 plus asymptotic expansion,
+    reflected to 1 - s left of Re s = 1/2.
+
+    PoleError within POLE_WINDOW of -k, k >= 0, with index k.  Finite on
+    the rest of the double plane, out to |Re s|, |Im s| ~ 1.8e308: past
+    ~1.34e154 in both parts s * s is inf - inf, so the tail's 1/s^2 is taken
+    as (1/s)^2 there.
+    """
     s = finite_argument(s, "digamma")
-    k = _nonpositive_integer_index(s)
-    if k is not None:
-        raise PoleError(-k, index=k)
+    if (n := lattice_point(s)) is not None and n <= 0:
+        raise PoleError(n, index=-n)
     if s.real < 0.5:
         return digamma(1 - s) - math.pi / cmath.tan(math.pi * (s - round(s.real)))
     acc = 0j
-    while abs(s) < 10:
+    # Re s first: |s| overflows where both parts pass ~1.27e308
+    while s.real < 10 and abs(s) < 10:
         acc -= 1 / s
         s += 1
-    inv2 = 1 / (s * s)
+    square = s * s
+    inv2 = 1 / square if cmath.isfinite(square) else (1 / s) * (1 / s)
     tail = 0j
     p = inv2
     for c in _PSI_ASYMPTOTIC:
@@ -252,7 +282,7 @@ def digamma_series_reference(s: complex) -> complex:
     Re s < -4096 with |Im s| < 4096 (see :func:`_series_argument`).
     """
     s = _series_argument(s, "digamma_series_reference")
-    if _nonpositive_integer_index(s) is not None:
+    if (n := lattice_point(s)) is not None and n <= 0:
         raise PoleError(s)
     x, y = s.real, s.imag
     if s == 1:
@@ -273,7 +303,7 @@ def gamma_abs_critical(y: float) -> float:
     first: sqrt(2 pi) e^(-pi |y| / 2), in double range to |y| ~ 451.
     """
     py = math.pi * abs(y)
-    if py > 700:
+    if py > ROOT_FIRST_PI_Y:
         return _SQRT_2PI * math.exp(-0.5 * py)
     return math.sqrt(math.pi * (1.0 / math.cosh(py)))
 
@@ -287,7 +317,7 @@ def gamma_abs_unit(y: float) -> float:
     if abs(y) < 1e-8:
         return 1.0
     py = math.pi * abs(y)
-    if py > 700:
+    if py > ROOT_FIRST_PI_Y:
         return math.sqrt(2 * py) * math.exp(-0.5 * py)
     return math.sqrt(py / math.sinh(py))
 
@@ -311,7 +341,7 @@ def reflection_residual(s: complex) -> float:
         raise DomainError(f"reflection_residual at s = {s}: needs 0 < Re s < 1")
     if abs(s.imag) > _REFLECTION_MAX_IM:
         raise DomainError(f"reflection residual at s = {s}: |Im s| > {_REFLECTION_MAX_IM:g} loses its accuracy")
-    if abs(s.imag) <= POLE_WINDOW and abs(s.real - round(s.real)) <= POLE_WINDOW:
+    if lattice_point(s) is not None:
         raise DomainError(f"reflection identity degenerate at integer s={s}")
     log_product = _loggamma_lanczos(s) + _loggamma_lanczos(1 - s) + _logsin_pi(s)
     return abs(cmath.exp(log_product) - math.pi)
@@ -331,9 +361,7 @@ def psi_pair_series(s: complex) -> float:
     |Im s| < 4096 (see :func:`_series_argument`).
     """
     s = _series_argument(s, "psi_pair_series")
-    if _nonpositive_integer_index(s) is not None or _nonpositive_integer_index(
-        s.conjugate()
-    ) is not None:
+    if (n := lattice_point(s)) is not None and n <= 0:
         raise PoleError(s)
     x, y = s.real, s.imag
     if s == 1:

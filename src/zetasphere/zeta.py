@@ -32,10 +32,12 @@ from .specfun import (
     LOG_SPACE_IM,
     POLE_WINDOW,
     _LNPI,
+    _loggamma,
     _logsin_pi,
     exp_in_range,
     finite_argument,
     gamma,
+    lattice_point,
     loggamma,
     sin_pi,
 )
@@ -59,6 +61,8 @@ _ETA_MAX_TERMS = 10**7
 _EM_CORRECTIONS = 12
 # term count from which _powers exponentiates only the basis of the split
 _SPLIT_MIN_TERMS = 128
+# Re s past which every k^-s but 1^-s rounds to 0 (2^-1075 is half 2^-1074)
+_FAR_RIGHT_RE = 1075
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +112,10 @@ def _powers(s: complex, n: int) -> np.ndarray:
     n = 928), and every other term is one complex product.  Terms with S = 1
     or m = 1 are multiplied by exactly 1.  Below _SPLIT_MIN_TERMS the two
     gathers cost more than the exponentials they save, so those sums
-    exponentiate every term.  Past Re s = 1075 every k^-s but 1^-s rounds to
-    0, and -s log k, which overflows for |s| ~ 1e308, is not formed.
+    exponentiate every term.  Past Re s = _FAR_RIGHT_RE every k^-s but 1^-s
+    rounds to 0, and -s log k is not formed.
     """
-    if s.real > 1075:
+    if s.real > _FAR_RIGHT_RE:
         return np.eye(1, n, dtype=complex)[0]
     logk, log_basis, i_smooth, i_rough = _power_table(n)
     if log_basis is None:
@@ -282,14 +286,14 @@ def f_factor(s: complex) -> complex:
     f(s) does.  Past |Im s| > LOG_SPACE_IM, where sin(pi s/2) would
     overflow too, log sin(pi s/2) joins the head; below it the sine is
     taken about its nearest zero and multiplies exp(head), so f(-2n) = 0
-    exactly.  DomainError where f(s) itself leaves double range.
+    exactly.  DomainError where f(s) itself leaves double range, and where
+    Im log Gamma(1 - s) does (from |Im s| ~ 2.5e305), though |f| there
+    grows only like |Im s|^(1/2 - Re s).
     """
     s = finite_argument(s, "f")
-    if abs(s.imag) <= POLE_WINDOW:
-        r = round(s.real)
-        if r >= 1 and abs(s.real - r) <= POLE_WINDOW:
-            raise PoleError(float(r), index=r - 1)
-    head = s * _LN2 + (s - 1) * _LNPI + loggamma(1 - s)
+    if (n := lattice_point(s)) is not None and n >= 1:
+        raise PoleError(float(n), index=n - 1)
+    head = s * _LN2 + (s - 1) * _LNPI + _loggamma(1 - s)
     if abs(s.imag) > LOG_SPACE_IM:
         return exp_in_range(head + _logsin_pi(s / 2), "f", s)
     sine = sin_pi(s / 2)
@@ -306,12 +310,10 @@ def functional_rhs(s: complex) -> complex:
     integers resolve the resulting 0*inf through even_limit_probe instead.
     """
     s = finite_argument(s, "functional_rhs")
-    if abs(s.imag) <= POLE_WINDOW:
-        r = round(s.real)
-        if r >= 1 and abs(s.real - r) <= POLE_WINDOW:
-            raise DomainError(f"Gamma(1-s) pole at s={s}; use even_limit_probe for even s")
-        if abs(s.real) <= POLE_WINDOW:
-            raise DomainError("zeta(1-s) pole at s=0; zeta_eval takes the limit")
+    if (n := lattice_point(s)) is not None and n >= 1:
+        raise DomainError(f"Gamma(1-s) pole at s={s}; use even_limit_probe for even s")
+    if n == 0:
+        raise DomainError("zeta(1-s) pole at s=0; zeta_eval takes the limit")
     return f_factor(s) * zeta_eval(1 - s)
 
 
@@ -355,7 +357,8 @@ def completed_zeta(s: complex) -> complex:
     if abs(s - 1) < POLE_WINDOW:
         raise PoleError(1.0)
     w = 1 - s if s.real < 0.5 else s
-    return exp_in_range(completed_log_prefactor(w), "completed zeta", s, zeta_eval(w))
+    value = zeta_eval(w)  # its refusals (the eta term cap) come before log Gamma's
+    return exp_in_range(completed_log_prefactor(w), "completed zeta", s, value)
 
 
 def _log_logderiv(s: complex, eta_pair) -> tuple[complex, complex]:
@@ -394,11 +397,10 @@ def zeta_log_logderiv_row(t: float):
     k^-it, with the weights and log-weighted weights folded in, are formed
     once, as the real and imaginary rows of a 4 x n matrix W; a point then
     costs one real exponential k^-sigma per term and W @ k^-sigma, and past
-    sigma = 1075, where every k^-sigma but 1^-sigma rounds to 0, the unit
-    vector stands in for k^-sigma, so sigma log k, which overflows for
-    sigma ~ 1e308, is not formed.  Only
-    the order in which the terms are rounded and summed differs from
-    zeta_log_logderiv: the two agree to ~1e-15 relative below t = 1000.
+    sigma = _FAR_RIGHT_RE, as in _powers, the unit vector stands in for
+    k^-sigma.  Only the order in which the terms are rounded and summed
+    differs from zeta_log_logderiv: the two agree to ~1e-15 relative below
+    t = 1000.
     """
     row = finite_argument(complex(0.5, t), "zeta")
     coeffs, log_weighted = _eta_weights(row)
@@ -409,7 +411,7 @@ def zeta_log_logderiv_row(t: float):
     neg_logk = -_power_table(n)[0]
 
     def eta_pair(s: complex) -> tuple[complex, complex]:
-        k_sigma = np.eye(1, n)[0] if s.real > 1075 else np.exp(s.real * neg_logk)
+        k_sigma = np.eye(1, n)[0] if s.real > _FAR_RIGHT_RE else np.exp(s.real * neg_logk)
         re_eta, im_eta, re_d, im_d = (w @ k_sigma).tolist()
         return complex(re_eta, im_eta), complex(re_d, im_d)
 

@@ -30,6 +30,17 @@ DIGAMMA_SERIES = (
     (complex(50000.0, 30000.0), complex(10.973513281331553, 0.54042391205691634)),
     (complex(10000000.0, 0.0), complex(16.118095600958319, 0.0)),
 )
+# psi where both parts of s pass ~1.34e154 and s * s is inf - inf, out to
+# 1e300, on both sides of the reflection at Re s = 1/2: (s, psi(s))
+DIGAMMA_FAR = (
+    (complex(1e+154, 1e+154), complex(354.94467791136301, 0.78539816339744831)),
+    (complex(1.35e+154, 1.35e+154), complex(355.24478250381335, 0.78539816339744831)),
+    (complex(-2e+160, 5e+159), complex(369.13707437051547, 2.8966139904629291)),
+    (complex(3e+200, -4e+200), complex(462.12645651124324, -0.92729521800161223)),
+    (complex(-1e+250, -1e+250), complex(575.99284683879139, -2.3561944901923449)),
+    (complex(1e+300, 2e+299), complex(690.79513825479035, 0.19739555984988076)),
+    (complex(5e+299, -1e+300), complex(690.88709967387081, -1.1071487177940905)),
+)
 # next to the poles, where the reflection's sin(pi s) is a small difference:
 # (s, Gamma(s), log Gamma(s), psi(s))
 GAMMA_NEAR_POLES = (

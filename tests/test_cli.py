@@ -118,6 +118,13 @@ class TestEval:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: zeta needs a finite argument")
 
+    def test_past_double_range_names_no_exception_class(self, capsys):
+        # the log Gamma of f leaves double range in its imaginary part
+        assert main(["eval", "zeta", "--", "-0.6946483235119554+3.833474020713511e305i"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: f at s = ") and "leaves double range" in err
+        assert "Error" not in err
+
     @pytest.mark.parametrize("function", sorted(_EVAL_FUNCTIONS))
     def test_nan_is_typed_and_names_the_function(self, function, capsys):
         assert main(["eval", function, "nan"]) == 2

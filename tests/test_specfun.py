@@ -23,6 +23,7 @@ from reference_values import (
     ABS_GAMMA_FAR,
     ABS_GAMMA_HALF_PLUS_I,
     ABS_GAMMA_ONE_PLUS_I,
+    DIGAMMA_FAR,
     DIGAMMA_ONE,
     DIGAMMA_SERIES,
     DIGAMMA_TWO,
@@ -54,9 +55,10 @@ class TestGamma:
         assert exc.value.index == k
         assert exc.value.residue == (-1.0) ** k / math.factorial(k)
 
-    @pytest.mark.parametrize("k", [171, 200, 1e6, 1e17])
+    @pytest.mark.parametrize("k", [171, 200, 1e6, 1e17, 1e308])
     def test_far_pole_is_typed_and_prompt(self, k):
-        # k! is no double past k = 170 and takes seconds to form at 1e6
+        # k! is no double past k = 170 and takes seconds to form at 1e6;
+        # lgamma(k + 1) overflows from k ~ 2.5e305
         for fn in (gamma, loggamma):
             start = time.perf_counter()
             with pytest.raises(PoleError) as exc:
@@ -239,6 +241,21 @@ class TestDigamma:
     def test_recurrence(self):
         for s in (0.7 + 0j, 1.4 + 2j, 0.2 - 5j):
             assert abs(digamma(s + 1) - (digamma(s) + 1 / s)) < 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s, psi", DIGAMMA_FAR)
+    def test_far_from_the_origin(self, s, psi):
+        # past ~1.34e154 in both parts s * s is inf - inf
+        assert abs(digamma(s) - psi) <= 1e-15 * abs(psi)
+        assert psi_pair(s) == pytest.approx(2 * psi.real, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [complex(1.7e308, 1.7e308), complex(-1.79e308, 1.79e308)])
+    def test_finite_to_the_end_of_double_range(self, s):
+        # |s| itself overflows there
+        value = digamma(s)
+        assert math.isfinite(value.real) and math.isfinite(value.imag)
+        assert 709 < value.real < 711
 
 
 class TestPsiPair:

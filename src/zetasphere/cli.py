@@ -24,7 +24,7 @@ _EVAL_FUNCTIONS = {
     "eta": eta_eval,
     "completed": completed_zeta,
     "f": f_factor,
-    "f_abs": lambda s: complex(modulus.f_abs_closed(s).product),
+    "f_abs": modulus.f_abs_product,
     "gamma": gamma,
     "digamma": digamma,
 }
@@ -93,19 +93,24 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _write_payload(payload: str, out: str | None, note: str) -> int:
+    """Write ``payload`` to the file ``out`` and print ``note``; to stdout without ``out``."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+        print(note)
+    else:
+        sys.stdout.write(payload)
+    return 0
+
+
 def _cmd_zeros(args) -> int:
     records = zeros.scan_zeros(args.t_from, args.t_to, args.step)
     if args.out and args.out.endswith(".json"):
         payload = zeros.records_to_json(records)
     else:
         payload = zeros.records_to_csv(records)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        print(f"{len(records)} zeros -> {args.out}")
-    else:
-        sys.stdout.write(payload)
-    return 0
+    return _write_payload(payload, args.out, f"{len(records)} zeros -> {args.out}")
 
 
 def _cmd_verify(args) -> int:
@@ -174,21 +179,14 @@ def _cmd_plotdata(args) -> int:
         xs, ys = _grid_values(args.range or "0.05:0.95:0.09", args.yrange or "-10:10:0.5")
         if args.what == "fabs":
             lines.append("# columns: x,y,abs_f  (closed-form |f| on the open strip)")
-            fn = lambda s: modulus.f_abs_closed(s).product
+            fn = modulus.f_abs_product
         else:
             lines.append("# columns: x,y,abs_zeta")
             fn = lambda s: abs(zeta_eval(s))
         for x in xs:
             for y in ys:
                 lines.append(f"{x:.6f},{y:.6f},{fn(complex(x, y)):.12e}")
-    payload = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(payload)
-    return 0
+    return _write_payload("\n".join(lines) + "\n", args.out, f"wrote {args.out}")
 
 
 def build_parser() -> argparse.ArgumentParser:

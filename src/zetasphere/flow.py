@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .mero import Divisor
-from .report import VerificationItem, flag_item, make_item
+from .report import VerificationItem, make_item
 from .sphere import is_infinity
 
 DEFAULT_STRIP_MARGIN = 0.1
@@ -88,8 +88,6 @@ def continuity_probe(p: FlowParams) -> list[VerificationItem]:
     items.append(make_item("flow/seam-at-half continuous", 0.0, seam, 1e-8))
     # prose says the sub-strip boundary stays fixed; the formula moves it
     items.append(
-        flag_item("flow/prose-fixed-boundary vs measured jump", 0.0, extrapolated, 1e-12)
-        if p.t > 0
-        else make_item("flow/prose-fixed-boundary vs measured jump", 0.0, extrapolated, 1e-12)
+        make_item("flow/prose-fixed-boundary vs measured jump", 0.0, extrapolated, 1e-12, flag_on_fail=p.t > 0)
     )
     return items

@@ -344,17 +344,10 @@ def partial_fractions(f: RationalMap) -> PartialFractions:
     poles = [(_Exact.of(p), k) for p, k in f.poles]
     num = _poly_from_roots(zeros, constant)
     den = _poly_from_roots(poles, _ONE)
-    poly = [_ZERO]
-    if len(num) >= len(den):
-        # ascending-order long division by the monic denominator: strip
-        # leading (highest) terms
-        poly = [_ZERO] * (len(num) - len(den) + 1)
-        rem = list(num)
-        for i in range(len(poly) - 1, -1, -1):
-            factor = rem[i + len(den) - 1]
-            poly[i] = factor
-            for j, d in enumerate(den):
-                rem[i + j] = rem[i + j] - factor * d
+    # the quotient num // den: in 1/z its reversed coefficients are the
+    # first len(num) - len(den) + 1 series coefficients of reversed num over
+    # reversed den, whose constant term is den's leading 1
+    poly = _series_divide(num[::-1], den[::-1], len(num) - len(den) + 1)[::-1] or [_ZERO]
     terms = []
     for i, (p_i, k_i) in enumerate(poles):
         # principal part at p_i from the factored form in w = z - p_i

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 
@@ -27,15 +27,6 @@ class VerificationItem:
     computed: float
     tolerance: float
     status: str
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "target": self.target,
-            "computed": self.computed,
-            "tolerance": self.tolerance,
-            "status": self.status,
-        }
 
 
 def make_item(
@@ -82,11 +73,8 @@ class VerificationReport:
     def flagged(self) -> list[VerificationItem]:
         return [it for it in self.items if it.status == DISCREPANCY]
 
-    def as_dict(self) -> dict:
-        return {"items": [it.as_dict() for it in self.items], "meta": dict(self.meta)}
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
         lines = []

@@ -256,19 +256,31 @@ def _series_tail(s: complex) -> complex:
 
 
 def _series_argument(s, name: str) -> complex:
-    """finite_argument(s), or DomainError past |s| = _SERIES_MAX_ARG, where
-    the series' block arithmetic would overflow, and in the half-strip
-    Re s < -N/2, |Im s| < N/2 (N = _SERIES_TERMS), where the tail's
-    integration path [N, inf) runs near the summand's pole at t = -s.
-    Outside it |N + s| >= N/2, so the Euler-Maclaurin remainder stays
-    below ~1e-17."""
+    """finite_argument(s) for the two psi cross-check series, their one
+    gate.  DomainError past |s| = _SERIES_MAX_ARG, where the series' block
+    arithmetic would overflow, and in the half-strip Re s < -N/2,
+    |Im s| < N/2 (N = _SERIES_TERMS), where the tail's integration path
+    [N, inf) runs near the summand's pole at t = -s; outside it
+    |N + s| >= N/2, so the Euler-Maclaurin remainder stays below ~1e-17.
+    PoleError at the poles -k of psi (:func:`lattice_point`)."""
     s = finite_argument(s, name)
-    if abs(s) > _SERIES_MAX_ARG:
+    # Re s first: |s| overflows where both parts pass ~1.27e308
+    if abs(s.real) > _SERIES_MAX_ARG or abs(s) > _SERIES_MAX_ARG:
         raise DomainError(f"{name} at s = {s}: |s| > {_SERIES_MAX_ARG:.3g} overflows its summands")
     half = _SERIES_TERMS / 2
     if s.real < -half and abs(s.imag) < half:
         raise DomainError(f"{name} at s = {s}: Re s < -{half:g} with |Im s| < {half:g} puts its tail near a pole")
+    if (n := lattice_point(s)) is not None and n <= 0:
+        raise PoleError(s)
     return s
+
+
+def _series_blocks(x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
+    """n + x and ((n + x)^2 + y^2)(n + 1) over n = 0.._SERIES_TERMS - 1, the
+    arrays both psi cross-check series divide by."""
+    n = np.arange(_SERIES_TERMS, dtype=np.float64)
+    nx = n + x
+    return nx, (nx * nx + y * y) * (n + 1)
 
 
 def digamma_series_reference(s: complex) -> complex:
@@ -278,21 +290,16 @@ def digamma_series_reference(s: complex) -> complex:
 
     The sum is taken in real arithmetic as
     (s-1) sum conj(n+s) / ((n+1)|n+s|^2), the same series term by term.
-    DomainError past |s| = _SERIES_MAX_ARG (~1.05e152) and for
-    Re s < -4096 with |Im s| < 4096 (see :func:`_series_argument`).
+    PoleError at the poles -k; DomainError past |s| = _SERIES_MAX_ARG
+    (~1.05e152) and for Re s < -4096 with |Im s| < 4096 (see
+    :func:`_series_argument`).
     """
     s = _series_argument(s, "digamma_series_reference")
-    if (n := lattice_point(s)) is not None and n <= 0:
-        raise PoleError(s)
-    x, y = s.real, s.imag
     if s == 1:
         # every summand carries the factor s - 1
         return -EULER_GAMMA + _series_tail(s)
-
-    n = np.arange(_SERIES_TERMS, dtype=np.float64)
-    nx = n + x
-    w = (nx * nx + y * y) * (n + 1)
-    total = (s - 1) * complex(np.sum(nx / w), -y * np.sum(1.0 / w))
+    nx, w = _series_blocks(s.real, s.imag)
+    total = (s - 1) * complex(np.sum(nx / w), -s.imag * np.sum(1.0 / w))
     return -EULER_GAMMA + total + _series_tail(s)
 
 
@@ -312,13 +319,15 @@ def gamma_abs_unit(y: float) -> float:
     """|Gamma(1 + iy)| = sqrt(y pi * csch(pi y)); limit 1 at y = 0.
 
     Past pi |y| = 700 it is sqrt(2 pi |y|) e^(-pi |y| / 2), as in
-    :func:`gamma_abs_critical`.
+    :func:`gamma_abs_critical`.  That is 0.0 from |y| ~ 475 on, also where
+    sqrt(2 pi |y|) is inf (from |y| ~ 2.9e307), which would make it inf * 0.
     """
     if abs(y) < 1e-8:
         return 1.0
     py = math.pi * abs(y)
     if py > ROOT_FIRST_PI_Y:
-        return math.sqrt(2 * py) * math.exp(-0.5 * py)
+        decay = math.exp(-0.5 * py)
+        return math.sqrt(2 * py) * decay if decay else 0.0
     return math.sqrt(py / math.sinh(py))
 
 
@@ -356,20 +365,17 @@ def psi_pair_series(s: complex) -> float:
     """Explicit real series for Psi(s) (the x,y form), with tail correction.
 
     Independent route against :func:`psi_pair`; the summand is
-    ((x-1)(x+n) + y^2) / ((n+1)((n+x)^2 + y^2)).  DomainError past
-    |s| = _SERIES_MAX_ARG (~1.05e152) and for Re s < -4096 with
-    |Im s| < 4096 (see :func:`_series_argument`).
+    ((x-1)(x+n) + y^2) / ((n+1)((n+x)^2 + y^2)), summed term by term.
+    PoleError at the poles -k; DomainError past |s| = _SERIES_MAX_ARG
+    (~1.05e152) and for Re s < -4096 with |Im s| < 4096 (see
+    :func:`_series_argument`).
     """
     s = _series_argument(s, "psi_pair_series")
-    if (n := lattice_point(s)) is not None and n <= 0:
-        raise PoleError(s)
     x, y = s.real, s.imag
     if s == 1:
         # the numerator (x-1)(x+n) + y^2 is 0 for every n exactly here
         return 2.0 * (-EULER_GAMMA + _series_tail(s).real)
-
-    n = np.arange(_SERIES_TERMS, dtype=np.float64)
-    nx = n + x
-    total = float(np.sum(((x - 1) * nx + y * y) / ((nx * nx + y * y) * (n + 1))))
+    nx, w = _series_blocks(x, y)
+    total = float(np.sum(((x - 1) * nx + y * y) / w))
     # same tail as the complex series, taken through its real part
     return 2.0 * (-EULER_GAMMA + total + _series_tail(s).real)

@@ -13,6 +13,7 @@ import functools
 import math
 
 from . import flow, mero, modulus, sphere, zeros
+from .errors import DomainError
 from .report import VerificationItem, VerificationReport, flag_item, make_item
 from .specfun import (
     digamma,
@@ -457,5 +458,5 @@ def run_suite(name: str) -> VerificationReport:
     elif name in SUITES:
         items = SUITES[name]()
     else:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+        raise DomainError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     return VerificationReport.build(items)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .errors import (
@@ -39,7 +39,7 @@ from .errors import (
     RealnessViolation,
 )
 from .modulus import criterion_ratio
-from .specfun import POLE_WINDOW
+from .specfun import POLE_WINDOW, in_range
 from .zeta import (
     completed_log_prefactor,
     completed_zeta,  # not called here: perfbench/spans.py times it as zeros.completed_zeta
@@ -101,14 +101,15 @@ def theta(t: float) -> float:
     + 7/(5760 t^3) + 31/(80640 t^5) + 127/(430080 t^7) + 511/(1216512 t^9),
     whose truncation is below 1e-14 there; below, the imaginary part of
     ``completed_log_prefactor``.  Either is within 2e-14 max(1, |theta|) of
-    mpmath's siegeltheta, tested to t = 10^4.
+    mpmath's siegeltheta, tested to t = 10^4.  DomainError naming t where
+    theta leaves double range (from |t| ~ 5e305).
     """
     u = abs(t)
     if u < THETA_SERIES_FROM:
         return completed_log_prefactor(complex(0.5, t)).imag
     w = 1.0 / (u * u)
     tail = (1 / 48 + w * (7 / 5760 + w * (31 / 80640 + w * (127 / 430080 + w * (511 / 1216512))))) / u
-    value = 0.5 * u * math.log(u / (2 * math.pi)) - 0.5 * u - math.pi / 8 + tail
+    value = in_range(0.5 * u * math.log(u / (2 * math.pi)) - 0.5 * u - math.pi / 8 + tail, "theta", t)
     return value if t > 0 else -value
 
 
@@ -123,8 +124,8 @@ def hardy_z(t: float) -> float:
     broke, so it raises RealnessViolation rather than returns.
     """
     s = complex(0.5, t)
+    zv = zeta_eval(s)  # its refusals (the eta term cap) come before theta's
     phase = theta(t)
-    zv = zeta_eval(s)
     cos, sin = math.cos(phase), math.sin(phase)
     z = cos * zv.real - sin * zv.imag
     imag = sin * zv.real + cos * zv.imag
@@ -353,12 +354,4 @@ def records_to_csv(records: list[ZeroRecord]) -> str:
 
 
 def records_to_json(records: list[ZeroRecord]) -> str:
-    payload = [
-        {
-            "ordinate": r.ordinate,
-            "bracket": list(r.bracket),
-            "criterion": r.criterion,
-        }
-        for r in records
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([asdict(r) for r in records], indent=2) + "\n"

@@ -30,7 +30,6 @@ from .errors import ConvergenceError, DomainError, PoleError
 from .specfun import (
     EULER_GAMMA,
     LOG_SPACE_IM,
-    POLE_WINDOW,
     _LNPI,
     _loggamma,
     _logsin_pi,
@@ -54,6 +53,8 @@ STIELTJES = (
 _LN2 = math.log(2.0)
 _ACCEL_RATE = math.log(3.0 + math.sqrt(8.0))
 _ETA_FALLBACK_WINDOW = 1e-2
+# |s| below which zeta_eval takes the Laurent route of _zeta_small_s
+_SMALL_S_RADIUS = _ETA_FALLBACK_WINDOW / _LN2
 # absolute tolerance of the accelerated eta sum, and its term cap
 _ETA_TOLERANCE = 1e-14
 _ETA_MAX_TERMS = 10**7
@@ -262,17 +263,20 @@ def _zeta_right_half(s: complex, eta_pair=None):
 
 
 def zeta_eval(s: complex) -> complex:
-    """zeta(s) anywhere except the simple pole at s = 1 (residue 1).
+    """zeta(s) anywhere except the simple pole at s = 1 (residue 1), refused
+    in its lattice box (:func:`lattice_point`).
 
-    DomainError where the value leaves double range (left of Re s ~ -291).
+    DomainError where the value leaves double range (left of Re s ~ -291);
+    ConvergenceError past the eta term cap (from |Im s| ~ 1.1e7).
     """
     s = finite_argument(s, "zeta")
-    if abs(s - 1) < POLE_WINDOW:
+    if lattice_point(s) == 1:
         raise PoleError(1.0, residue=1.0)
     if s.real >= 0.5:
         return _zeta_right_half(s)
-    # |1 - 2^s| ~ |s| ln 2: zeta(1 - s) at the rounded 1 - s loses u / |Re s|
-    if abs(s) < _ETA_FALLBACK_WINDOW / _LN2:
+    # |1 - 2^s| ~ |s| ln 2: zeta(1 - s) at the rounded 1 - s loses u / |Re s|.
+    # Re s first: |s| overflows where both parts pass ~1.27e308
+    if s.real > -_SMALL_S_RADIUS and abs(s) < _SMALL_S_RADIUS:
         return _zeta_small_s(s)
     return f_factor(s) * _zeta_right_half(1 - s)
 
@@ -322,10 +326,7 @@ def even_limit_probe(n: int) -> complex:
     extrapolation over eps in {1e-3, 5e-4, 2.5e-4}."""
     if not 1 <= n <= 10:
         raise DomainError("even_limit_probe supports 1 <= n <= 10")
-    values = []
-    for eps in (1e-3, 5e-4, 2.5e-4):
-        s = 2 * n + eps
-        values.append(f_factor(s) * zeta_eval(1 - s))
+    values = [functional_rhs(2 * n + eps) for eps in (1e-3, 5e-4, 2.5e-4)]
     r01 = 2 * values[1] - values[0]
     r12 = 2 * values[2] - values[1]
     out = (4 * r12 - r01) / 3
@@ -343,7 +344,8 @@ def completed_log_prefactor(s: complex) -> complex:
 
 
 def completed_zeta(s: complex) -> complex:
-    """pi^(-s/2) Gamma(s/2) zeta(s); poles at 0 and 1.
+    """pi^(-s/2) Gamma(s/2) zeta(s); PoleError in the lattice boxes of its
+    poles at 0 and 1 (:func:`lattice_point`).
 
     Left of Re s = 1/2 it is taken at 1 - s (Lambda(s) = Lambda(1 - s)), so
     the Gamma poles at the negative even integers never meet the trivial
@@ -352,10 +354,8 @@ def completed_zeta(s: complex) -> complex:
     ~ -437.5 on the real axis).
     """
     s = finite_argument(s, "completed zeta")
-    if abs(s) < POLE_WINDOW:
-        raise PoleError(0.0)
-    if abs(s - 1) < POLE_WINDOW:
-        raise PoleError(1.0)
+    if (n := lattice_point(s)) in (0, 1):
+        raise PoleError(float(n))
     w = 1 - s if s.real < 0.5 else s
     value = zeta_eval(w)  # its refusals (the eta term cap) come before log Gamma's
     return exp_in_range(completed_log_prefactor(w), "completed zeta", s, value)
@@ -369,7 +369,7 @@ def _log_logderiv(s: complex, eta_pair) -> tuple[complex, complex]:
     s = finite_argument(s, "zeta")
     if s.real < 0.5:
         raise DomainError(f"zeta_log_logderiv needs Re s >= 1/2, got {s}")
-    if abs(s - 1) < POLE_WINDOW:
+    if lattice_point(s) == 1:
         raise PoleError(1.0)
     value, derivative = _zeta_right_half(s, eta_pair)
     if value == 0:
@@ -383,8 +383,9 @@ def zeta_log_logderiv(s: complex) -> tuple[complex, complex]:
 
     The log is principal.  On Re s >= 1.1, where |arg zeta(s)| <=
     log zeta(Re s) < pi, that is the branch continuous over the whole
-    half-plane (Backlund).  PoleError at 1; DomainError left of Re s = 1/2
-    and where zeta(s) is exactly 0.
+    half-plane (Backlund).  PoleError in the lattice box of 1
+    (:func:`lattice_point`); DomainError left of Re s = 1/2 and where
+    zeta(s) is exactly 0; ConvergenceError past the eta term cap.
     """
     return _log_logderiv(s, _eta_pair)
 
@@ -471,10 +472,14 @@ def _log_primes() -> np.ndarray:
 def euler_product_partial(s: complex) -> complex:
     """prod over primes p < 10^4 of 1/(1 - p^-s); needs Re(s) > 1.  The
     primes and their logs are built once per process (_log_primes); each
-    call forms only the p^-s."""
+    call forms only the p^-s.  Past Re s = _FAR_RIGHT_RE every p^-s rounds
+    to 0, so the product is exactly 1 and -s log p, which overflows from
+    Re s ~ 2e307, is not formed."""
     s = finite_argument(s, "euler_product_partial")
     if s.real <= 1:
         raise DomainError("Euler product requires Re(s) > 1")
+    if s.real > _FAR_RIGHT_RE:
+        return 1 + 0j
     return complex(1 / np.prod(1 - np.exp(-s * _log_primes())))
 
 
@@ -519,11 +524,13 @@ def stieltjes_gamma(k: int) -> float:
 
 def laurent_eval(s: complex) -> complex:
     """Laurent expansion 1/(s-1) + sum (-1)^n gamma_n (s-1)^n / n! on the
-    punctured unit disk around 1."""
+    punctured unit disk around 1: PoleError in the lattice box of 1
+    (:func:`lattice_point`), DomainError at |s - 1| >= 1."""
     s = finite_argument(s, "laurent_eval")
-    h = s - 1
-    if abs(h) < POLE_WINDOW:
+    if lattice_point(s) == 1:
         raise PoleError(1.0, residue=1.0)
-    if abs(h) >= 1:
+    h = s - 1
+    # Re h first: |h| overflows where both parts pass ~1.27e308
+    if abs(h.real) >= 1 or abs(h) >= 1:
         raise DomainError("laurent_eval valid only for 0 < |s-1| < 1")
     return 1 / h + _laurent_regular_part(h)

@@ -125,6 +125,13 @@ class TestEval:
         assert err.startswith("error: f at s = ") and "leaves double range" in err
         assert "Error" not in err
 
+    @pytest.mark.parametrize("function, value", [("zeta", "1.5e308+1.5e308i"), ("completed", "-1.5e308-1.7e308i")])
+    def test_both_parts_far_out_names_no_exception_class(self, function, value, capsys):
+        # |s| would overflow: the refusal is the eta term cap's or f's
+        assert main(["eval", function, "--", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Error" not in err
+
     @pytest.mark.parametrize("function", sorted(_EVAL_FUNCTIONS))
     def test_nan_is_typed_and_names_the_function(self, function, capsys):
         assert main(["eval", function, "nan"]) == 2
@@ -203,6 +210,13 @@ class TestVerify:
     def test_unknown_suite_exit_two(self):
         proc = run_cli("verify", "--suite", "nonsense")
         assert proc.returncode == 2
+
+    def test_unknown_suite_is_a_domain_error(self):
+        from zetasphere import verify
+        from zetasphere.errors import DomainError
+
+        with pytest.raises(DomainError, match=r"^unknown suite 'bogus'; choose from \["):
+            verify.run_suite("bogus")
 
     def test_byte_identical_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,6 +1,7 @@
 """Refusals shared across the evaluators: the integer-lattice box of
-POLE_WINDOW, in which Gamma, psi, f and the reflection refuse, and the exit
-at the end of double range."""
+POLE_WINDOW, in which Gamma, psi, f, the reflection, zeta, the completed
+zeta and zeta's Laurent series refuse, and the exit at the end of double
+range."""
 
 import math
 
@@ -17,7 +18,15 @@ from zetasphere.specfun import (
     psi_pair_series,
     reflection_residual,
 )
-from zetasphere.zeta import f_factor, functional_rhs, zeta_eval
+from zetasphere.zeros import theta
+from zetasphere.zeta import (
+    completed_zeta,
+    f_factor,
+    functional_rhs,
+    laurent_eval,
+    zeta_eval,
+    zeta_log_logderiv,
+)
 
 # (function, n, error raised within POLE_WINDOW of n, the error's index)
 LATTICE = [
@@ -38,6 +47,10 @@ LATTICE = [
     (functional_rhs, 2, DomainError, None),
     (reflection_residual, 0, DomainError, None),
     (reflection_residual, 1, DomainError, None),
+    (zeta_eval, 1, PoleError, None),
+    (completed_zeta, 0, PoleError, None),
+    (completed_zeta, 1, PoleError, None),
+    (laurent_eval, 1, PoleError, None),
 ]
 
 
@@ -77,9 +90,51 @@ ESCAPE = complex(-0.6946483235119554, 3.833474020713511e305)
         # log Gamma itself past double range, in its real part
         (loggamma, complex(4.737470081749453e307, 0.6375349242261237)),
         (loggamma, 1e308),
+        # the Lanczos half power t^((s - 1/2) / 2) on Gamma's home half-strip
+        (gamma, 300),
+        (gamma, 300 + 5j),
+        # theta(t) itself, from |t| ~ 5e305
+        (theta, 5.2e305),
+        (theta, -5.2e305),
+        (theta, 1.26e308),
     ],
-    ids=["zeta_eval", "f_factor", "functional_rhs", "gamma", "gamma_abs_dx", "zeta_eval-low", "loggamma", "loggamma-real"],
+    ids=[
+        "zeta_eval", "f_factor", "functional_rhs", "gamma", "gamma_abs_dx", "zeta_eval-low", "loggamma",
+        "loggamma-real", "gamma-home-real", "gamma-home", "theta", "theta-negative", "theta-far",
+    ],
 )
 def test_past_double_range_is_typed(function, s):
     with pytest.raises(ZetasphereError, match="leaves double range"):
+        function(s)
+
+
+@pytest.mark.parametrize(
+    "function, n",
+    [(zeta_eval, 1), (completed_zeta, 0), (completed_zeta, 1), (zeta_log_logderiv, 1), (laurent_eval, 1)],
+    ids=["zeta_eval-1", "completed_zeta-0", "completed_zeta-1", "zeta_log_logderiv-1", "laurent_eval-1"],
+)
+def test_pole_box_corner_refuses(function, n):
+    # inside the lattice box, outside the disc |s - n| < POLE_WINDOW
+    with pytest.raises(PoleError) as exc:
+        function(n + 0.9 * POLE_WINDOW * (1 + 1j))
+    assert exc.value.point == n
+
+
+# both parts past ~1.27e308, where abs(s) would overflow
+BOTH_PARTS_FAR = [complex(1.5e308, 1.5e308), complex(-1.5e308, -1.7e308), complex(1.5e308, -1.5e308)]
+FAR_FUNCTIONS = [
+    zeta_eval,
+    completed_zeta,
+    zeta_log_logderiv,
+    laurent_eval,
+    digamma_series_reference,
+    psi_pair_series,
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", BOTH_PARTS_FAR, ids=str)
+@pytest.mark.parametrize("function", FAR_FUNCTIONS, ids=[f.__name__ for f in FAR_FUNCTIONS])
+def test_both_parts_far_out_is_typed(function, s):
+    with pytest.raises(ZetasphereError):
         function(s)

@@ -174,6 +174,11 @@ class TestClosedFormModuli:
         for y in (0.5, 1.0, 2.0, -7.5, 20.0, 50.0):
             assert abs(gamma_abs_unit(y) - abs(gamma(complex(1.0, y)))) <= 1e-10 * gamma_abs_unit(y)
 
+    @pytest.mark.parametrize("y", [475.0, 2.9e307, 5.7e307, 1.26e308, -1.79e308])
+    def test_unit_modulus_is_zero_far_out(self, y):
+        # 0.0 from |y| ~ 475 on, also where sqrt(2 pi |y|) and pi |y| are inf
+        assert gamma_abs_unit(y) == 0.0
+
     @pytest.mark.parametrize("y, critical, unit", ABS_GAMMA_FAR)
     def test_moduli_where_the_exponential_underflows(self, y, critical, unit):
         # e^(-pi y) is subnormal at y = 230 and 0 from y ~ 238 on

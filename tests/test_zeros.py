@@ -132,6 +132,17 @@ class TestRefine:
         with pytest.raises(NoSignChange):
             refine_zero((13.0, 13.5))
 
+    def test_zero_at_the_right_end_is_the_ordinate(self, monkeypatch):
+        monkeypatch.setattr(zeros, "hardy_z", lambda t: pytest.fail("Z evaluated"))
+        rec = refine_zero((14.0, 14.25), ends=(-0.5, 0.0))
+        assert rec.ordinate == 14.25 and rec.bracket == (14.25, 14.25)
+
+    def test_zero_at_a_midpoint_is_the_ordinate(self, monkeypatch):
+        # Z is exactly 0 at the first midpoint, 14.125
+        monkeypatch.setattr(zeros, "hardy_z", lambda t: t - 14.125)
+        rec = refine_zero((14.0, 14.25), ends=(-0.125, 0.125))
+        assert rec.ordinate == 14.125 and rec.bracket == (14.125, 14.125)
+
     def test_negative_bracket_mirrors(self):
         rec = refine_zero((-14.3, -14.0))
         assert rec.ordinate == pytest.approx(-ZERO_ORDINATES[0], abs=1e-6)

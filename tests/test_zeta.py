@@ -588,6 +588,15 @@ class TestEulerProduct:
         monkeypatch.setattr(zeta, "primes_below", lambda bound: pytest.fail("re-sieved"))
         assert euler_product_partial(3.0 + 1j) == euler_product_partial(3.0 + 1j)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "s", [1075.5, 2e307, 1e308, complex(1.5e308, 1.5e308), complex(1.5e308, -1.5e308)], ids=str
+    )
+    def test_far_right_is_exactly_one(self, s):
+        # every p^-s rounds to 0 past Re s = 1075; -s log p overflows from 2e307
+        value = euler_product_partial(s)
+        assert value == 1 and type(value) is complex
+
     def test_against_oracle_product(self):
         # the truncated product itself, so the bound is rounding, not truncation
         for s, expected in EULER_PARTIAL:

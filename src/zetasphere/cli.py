@@ -80,8 +80,8 @@ def _cmd_eval(args) -> int:
     s = parse_complex(args.value)
     value = _EVAL_FUNCTIONS[args.function](s)
     if args.json:
-        print(json.dumps({"function": args.function, "s": {"re": s.real, "im": s.imag},
-                          "value": {"re": value.real, "im": value.imag}}, sort_keys=True))
+        print(json.dumps({"function": args.function, "s": mero.point_json(s), "value": mero.point_json(value)},
+                         sort_keys=True))
     else:
         print(_format_complex(value))
         if args.function == "completed" and abs(s - 0.5) < 1e-9:
@@ -115,13 +115,8 @@ def _cmd_zeros(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = run_suite(args.suite)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-        summary = report.to_text().splitlines()[-1]
-        print(f"{summary} -> {args.json}")
-    else:
-        sys.stdout.write(report.to_text())
+    text = report.to_text()
+    _write_payload(report.to_json() if args.json else text, args.json, f"{text.splitlines()[-1]} -> {args.json}")
     return 0 if not report.failed else 1
 
 

@@ -9,7 +9,6 @@ continuity_probe measures that jump and flags it instead of smoothing it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError

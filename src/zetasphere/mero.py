@@ -11,7 +11,6 @@ preimages of other values.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -19,6 +18,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DegreeNotZero, DomainError
+from .specfun import finite_argument, in_range
 from .sphere import INFINITY, ExtendedPoint, is_infinity
 
 ROOT_MATCH_TOL = 1e-9
@@ -88,12 +88,13 @@ def divisor_degree(a: Divisor) -> int:
     return sum(m for _, m in a.items())
 
 
-def _point_json(p: ExtendedPoint) -> str | dict:
+def point_json(p: ExtendedPoint) -> str | dict:
+    """The JSON form of a point: "inf", or {"re": ..., "im": ...}."""
     return "inf" if is_infinity(p) else {"re": p.real, "im": p.imag}
 
 
 def divisor_to_json(a: Divisor) -> list[dict]:
-    out = [{"point": _point_json(p), "multiplicity": m} for p, m in a.items()]
+    out = [{"point": point_json(p), "multiplicity": m} for p, m in a.items()]
     out.sort(key=lambda row: str(row["point"]))
     return out
 
@@ -186,10 +187,33 @@ def rational_from_divisor(d: Divisor, c: complex) -> RationalMap:
     return RationalMap(constant=complex(c), zeros=tuple(zeros), poles=tuple(poles))
 
 
+def _factored(f: RationalMap, factor) -> complex:
+    """c prod factor(z_i)^h_i / prod factor(p_j)^k_j; inf where a power or a
+    quotient leaves double range."""
+    value = f.constant
+    try:
+        for zr, h in f.zeros:
+            value *= factor(complex(zr)) ** h
+        for p, k in f.poles:
+            value /= factor(complex(p)) ** k
+    except (OverflowError, ZeroDivisionError):
+        return cmath.inf
+    return value
+
+
 def evaluate(f: RationalMap, point: ExtendedPoint) -> ExtendedPoint:
     """Value on the sphere: poles go to infinity; the value at infinity is
     c when zero and pole counts balance, else 0 or infinity by the count
-    difference."""
+    difference.
+
+    A finite z takes the factored product c prod (z - z_i)^h / prod
+    (z - p_j)^k.  Where that is not finite, which far out it is not though
+    the value is (from |z| ~ 2e155 for the degree-2 zeta-hat), z takes
+    c z^(Z - P) prod (1 - z_i/z)^h / prod (1 - p_j/z)^k, Z and P the zero
+    and pole counts.  DomainError naming z where the value itself leaves
+    double range, and for a non-finite complex z: the point at infinity is
+    INFINITY.
+    """
     if is_infinity(point):
         diff = f.zero_count - f.pole_count
         if diff > 0:
@@ -197,16 +221,20 @@ def evaluate(f: RationalMap, point: ExtendedPoint) -> ExtendedPoint:
         if diff < 0:
             return 0j
         return f.constant
-    z = complex(point)
+    z = finite_argument(point, "evaluate")
     for p, _ in f.poles:
         if z == complex(p):
             return INFINITY
-    value = f.constant
-    for zr, h in f.zeros:
-        value *= (z - complex(zr)) ** h
-    for p, k in f.poles:
-        value /= (z - complex(p)) ** k
-    return value
+    value = _factored(f, lambda a: z - a)
+    if not cmath.isfinite(value):
+        n = f.zero_count - f.pole_count
+        try:
+            # a negative power of z is a positive one of 1/z: z^-n is NaN
+            # where z^n overflows
+            value = _factored(f, lambda a: 1 - a / z) * (z if n >= 0 else 1 / z) ** abs(n)
+        except (OverflowError, ZeroDivisionError):
+            pass
+    return in_range(value, "evaluate", z)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +419,11 @@ def derivative(f: RationalMap) -> tuple[complex, ...]:
     return tuple(np.convolve(repeated, _log_derivative_numerator(f)).tolist())
 
 
-def _cluster_roots(roots: Iterable[complex]) -> list[tuple[complex, int]]:
+def _roots(coeffs: np.ndarray) -> list[tuple[complex, int]]:
+    """Roots with multiplicity of the polynomial with ascending ``coeffs``,
+    numerically close roots merged; none for a constant."""
     clusters: list[list[complex]] = []
-    for r in sorted(roots, key=lambda z: (z.real, z.imag)):
+    for r in sorted(np.roots(coeffs[::-1]), key=lambda z: (z.real, z.imag)):
         for group in clusters:
             anchor = group[0]
             if abs(r - anchor) <= ROOT_MATCH_TOL * max(1.0, abs(anchor)) * 100:
@@ -408,10 +438,7 @@ def critical_points(f: RationalMap) -> list[tuple[complex, int]]:
     """Finite critical points with multiplicity: a zero of order h >= 2
     exactly h - 1 times, then the roots of the log-derivative numerator Q."""
     out = [(complex(z), h - 1) for z, h in f.zeros if h >= 2]
-    q = _log_derivative_numerator(f)
-    if len(q) > 1:
-        out += _cluster_roots(np.roots(q[::-1]))
-    return out
+    return out + _roots(_log_derivative_numerator(f))
 
 
 def preimages(f: RationalMap, w: ExtendedPoint) -> list[tuple[ExtendedPoint, int]]:
@@ -428,7 +455,7 @@ def preimages(f: RationalMap, w: ExtendedPoint) -> list[tuple[ExtendedPoint, int
         num = np.pad(num, (0, width - len(num)))
         den = np.pad(den, (0, width - len(den)))
         poly = _poly_trim(num - complex(w) * den, tol=1e-14)
-        found = _cluster_roots(np.roots(poly[::-1])) if len(poly) > 1 else []
+        found = _roots(poly)
         at_infinity = f.degree - (len(poly) - 1)
     out: list[tuple[ExtendedPoint, int]] = [(complex(a), m) for a, m in found]
     if at_infinity > 0:
@@ -484,11 +511,11 @@ def build_zeta_hat(
 
 def zeta_hat_params(rmap: RationalMap, bd: BranchData) -> dict:
     """JSON-ready parameter block for the CLI's extend command."""
-    ram = [{"point": _point_json(point), "index": e} for point, e in bd.ramification]
+    ram = [{"point": point_json(point), "index": e} for point, e in bd.ramification]
     return {
-        "constant": {"re": rmap.constant.real, "im": rmap.constant.imag},
-        "zeros": [{"re": z.real, "im": z.imag, "multiplicity": h} for z, h in rmap.zeros],
-        "poles": [{"re": p.real, "im": p.imag, "multiplicity": k} for p, k in rmap.poles],
+        "constant": point_json(rmap.constant),
+        "zeros": [{**point_json(z), "multiplicity": h} for z, h in rmap.zeros],
+        "poles": [{**point_json(p), "multiplicity": k} for p, k in rmap.poles],
         "divisor": divisor_to_json(principal_divisor(rmap)),
         "degree": bd.degree,
         "ramification": ram,

@@ -2,8 +2,8 @@
 
 Includes the closed-form modulus on the critical strip, the printed
 d/dx formulas (kept verbatim, checked against central differences, with
-disagreements reported rather than repaired), the critical-line criterion
-ratio, and the small-|s| asymptotic probes.
+disagreements reported rather than repaired), and the critical-line
+criterion ratio.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError
-from .report import VerificationItem, make_item
 from .specfun import ROOT_FIRST_PI_Y, exp_in_range, gamma, in_range, psi_pair
+# f_factor is not called here: the tests import it from here, and verify
+# calls it as modulus.f_factor, which perfbench/spans.py times
 from .zeta import f_factor, zeta_eval
 
 CRITERION_SAMPLES = 8
@@ -159,29 +160,3 @@ def criterion_ratio(s0: complex) -> float:
         total += modulus_at(s) / denominator
     return total / CRITERION_SAMPLES
 
-
-def asymptotic_suite() -> list[VerificationItem]:
-    """Shrinking-parameter probes along s = eps (1+i)/sqrt(2).
-
-    |f(s)| |zeta(1-s)| must approach 1/2 (the 0*inf limit at the origin) and
-    |f(s)| must approach 0, both monotonically over the eps sequence.
-    """
-    epsilons = (1e-2, 1e-3, 1e-4)
-    direction = (1 + 1j) / math.sqrt(2)
-    items: list[VerificationItem] = []
-    product_errs = []
-    f_values = []
-    for eps in epsilons:
-        s = eps * direction
-        fval = abs(f_factor(s))
-        prod = fval * abs(zeta_eval(1 - s))
-        f_values.append(fval)
-        product_errs.append(abs(prod - 0.5))
-        tol = max(2 * eps, 1e-3)
-        items.append(make_item(f"asymptotic/product-to-half eps={eps:g}", 0.5, prod, tol))
-        items.append(make_item(f"asymptotic/f-to-zero eps={eps:g}", 0.0, fval, 2 * eps))
-    monotone_prod = all(product_errs[i] > product_errs[i + 1] for i in range(len(epsilons) - 1))
-    monotone_f = all(f_values[i] > f_values[i + 1] for i in range(len(epsilons) - 1))
-    items.append(make_item("asymptotic/product-monotone", 1.0, float(monotone_prod), 0.5))
-    items.append(make_item("asymptotic/f-monotone", 1.0, float(monotone_f), 0.5))
-    return items

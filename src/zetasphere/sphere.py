@@ -11,6 +11,7 @@ and projection is z = 2 z0 / (2 - w0).
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -19,6 +20,8 @@ from .errors import BoundaryPoint, DomainError, InsufficientOrdinates, InvalidSp
 
 CONSTRAINT_BOUND = 1e-10
 CR_STEP = 1e-6  # central-difference step of cr_residual
+# |z/2| past which 2 |z|^2 overflows
+_HALF_LIFT_MAX = math.sqrt(sys.float_info.max / 8)
 
 
 class _InfinityType:
@@ -72,18 +75,34 @@ def stereo_project(p: SpherePoint) -> ExtendedPoint:
 
 
 def stereo_lift(z: ExtendedPoint) -> SpherePoint:
-    """The unique sphere point projecting to z; infinity lifts to (0, 2)."""
+    """The unique sphere point projecting to z, finite for every finite z;
+    infinity lifts to (0, 2).
+
+    z0 = 4 z / (4 + |z|^2) and w0 = 2 |z|^2 / (4 + |z|^2), until 2 |z|^2
+    overflows (|z| ~ 9.5e153); past that through q = 2 / |z|:
+    w0 = 2 / (1 + q^2), z0 = 2 q (z / |z|) / (1 + q^2).  q is taken from
+    |z/2|, which is finite even where |z| is not.
+    """
     if is_infinity(z):
         return NORTH_POLE
     z = complex(z)
-    denom = 4.0 + abs(z) ** 2
-    return SpherePoint(4.0 * z / denom, 2.0 * abs(z) ** 2 / denom)
+    half = 0.5 * z
+    r_half = abs(half)
+    if r_half < _HALF_LIFT_MAX:
+        r2 = abs(z) ** 2
+        return SpherePoint(4.0 * z / (4.0 + r2), 2.0 * r2 / (4.0 + r2))
+    q = 1.0 / r_half
+    scale = 1.0 + q * q
+    return SpherePoint(2.0 * q * (half / r_half) / scale, 2.0 / scale)
 
 
 def chordal_distance(a: ExtendedPoint, b: ExtendedPoint) -> float:
-    """Euclidean distance in R^3 between the stereographic lifts."""
+    """Euclidean distance in R^3 between the stereographic lifts, by
+    math.hypot, so tiny differences do not underflow when squared (the
+    distance from z to infinity is 4 / sqrt(4 + |z|^2))."""
     pa, pb = stereo_lift(a), stereo_lift(b)
-    return math.sqrt(abs(pa.z0 - pb.z0) ** 2 + (pa.w0 - pb.w0) ** 2)
+    dz = pa.z0 - pb.z0
+    return math.hypot(dz.real, dz.imag, pa.w0 - pb.w0)
 
 
 def covering_a(z: complex) -> CoverPoint:

@@ -220,15 +220,13 @@ def suite_gamma() -> list[VerificationItem]:
     decay = abs(gamma(s)) * abs(s.imag) ** (0.5 - s.real) * math.exp(math.pi * abs(s.imag) / 2)
     items.append(make_item("gamma/decay-law value at 0.3+40i", math.sqrt(2 * math.pi), decay, 0.01 * math.sqrt(2 * math.pi)))
 
+    half_steps = [k * 0.5 for k in range(-100, 101)]
     worst_c = max(
-        abs(gamma_abs_critical(y) - abs(gamma(complex(0.5, y)))) / gamma_abs_critical(y)
-        for y in [k * 0.5 for k in range(-100, 101)]
+        abs(gamma_abs_critical(y) - abs(gamma(complex(0.5, y)))) / gamma_abs_critical(y) for y in half_steps
     )
     items.append(make_item("gamma/|Gamma(1/2+iy)| closed form max rel |y|<=50", 0.0, worst_c, 1e-10))
     worst_u = max(
-        abs(gamma_abs_unit(y) - abs(gamma(complex(1.0, y)))) / gamma_abs_unit(y)
-        for y in [k * 0.5 for k in range(-100, 101)]
-        if y != 0
+        abs(gamma_abs_unit(y) - abs(gamma(complex(1.0, y)))) / gamma_abs_unit(y) for y in half_steps if y != 0
     )
     items.append(make_item("gamma/|Gamma(1+iy)| closed form max rel |y|<=50", 0.0, worst_u, 1e-10))
 
@@ -263,6 +261,7 @@ def suite_modulus() -> list[VerificationItem]:
 
     h = 1e-5
     tol = max(1e-6, 10 * h * h)
+    worst = 0.0
     for i in range(10):
         x = 0.1 + 0.8 * i / 9
         for y in (0.3, 1.1, 2.3, 3.7, 4.9):
@@ -272,27 +271,33 @@ def suite_modulus() -> list[VerificationItem]:
             items.append(
                 flag_item(f"eq14-dxf/printed vs finite-difference s={x:.2f}+{y}i", fd, printed, tol)
             )
-    worst = 0.0
-    for i in range(10):
-        x = 0.1 + 0.8 * i / 9
-        for y in (0.3, 1.1, 2.3, 3.7, 4.9):
-            s = complex(x, y)
             fd = modulus.central_dx(lambda u: abs(gamma(1 - u)), s, h)
             worst = max(worst, abs(modulus.gamma_abs_dx(s) - fd))
     items.append(make_item("eq15-dxgamma/max |formula - finite-difference| (50 pts)", 0.0, worst, tol))
 
-    # shrinking-parameter probes of the printed derivative limits at the
-    # strip corner; measured limits disagree with the printed zeros
+    # shrinking-parameter probes along s = eps (1+i)/sqrt(2) at the strip
+    # corner; measured limits of the printed derivatives disagree with the
+    # printed zeros
     probes = [1e-2, 1e-3, 1e-4]
     diag = (1 + 1j) / math.sqrt(2)
-    gvals = [modulus.gamma_abs_dx(eps * diag) for eps in probes]
+    corner = [eps * diag for eps in probes]
+    gvals = [modulus.gamma_abs_dx(s) for s in corner]
     items.append(flag_item("paper-claim/lim d/dx|Gamma(1-s)| at origin = 0", 0.0, 2 * gvals[2] - gvals[1], 1e-6))
-    fvals = [modulus.f_abs_dx(eps * diag) for eps in probes]
+    fvals = [modulus.f_abs_dx(s) for s in corner]
     items.append(flag_item("paper-claim/lim d/dx|f| at origin = 0", 0.0, 2 * fvals[2] - fvals[1], 1e-6))
     items.append(make_item("modulus/d/dx|Gamma(1-s)| positive at 1/2", 1.0, float(modulus.gamma_abs_dx(0.5 + 0j) > 0), 0.5))
     items.append(make_item("modulus/d/dx|f| positive at 1/2", 1.0, float(modulus.f_abs_dx(0.5 + 0j) > 0), 0.5))
 
-    items.extend(modulus.asymptotic_suite())
+    # |f(s)| |zeta(1-s)| must approach 1/2 (the 0*inf limit at the origin)
+    # and |f(s)| must approach 0, both monotonically over the probes
+    f_abs = [abs(modulus.f_factor(s)) for s in corner]
+    products = [f * abs(zeta_eval(1 - s)) for f, s in zip(f_abs, corner)]
+    for eps, f, product in zip(probes, f_abs, products):
+        items.append(make_item(f"asymptotic/product-to-half eps={eps:g}", 0.5, product, max(2 * eps, 1e-3)))
+        items.append(make_item(f"asymptotic/f-to-zero eps={eps:g}", 0.0, f, 2 * eps))
+    errs = [abs(product - 0.5) for product in products]
+    items.append(make_item("asymptotic/product-monotone", 1.0, float(all(a > b for a, b in zip(errs, errs[1:]))), 0.5))
+    items.append(make_item("asymptotic/f-monotone", 1.0, float(all(a > b for a, b in zip(f_abs, f_abs[1:]))), 0.5))
     return items
 
 
@@ -373,18 +378,18 @@ def suite_hurwitz() -> list[VerificationItem]:
     )
     t0 = first.ordinate
     expected_divisor = mero.Divisor({complex(0.5, t0): 1, complex(0.5, -t0): 1, 0j: -1, 1 + 0j: -1})
+    divisor = mero.principal_divisor(rmap)
     items.append(
-        make_item("zetahat/divisor equals eq26 (infinity order 0)", 1.0, float(mero.principal_divisor(rmap) == expected_divisor), 0.5)
+        make_item("zetahat/divisor equals eq26 (infinity order 0)", 1.0, float(divisor == expected_divisor), 0.5)
     )
-    items.append(make_item("zetahat/divisor degree = 0", 0.0, float(mero.divisor_degree(mero.principal_divisor(rmap))), 0.0))
+    items.append(make_item("zetahat/divisor degree = 0", 0.0, float(mero.divisor_degree(divisor)), 0.0))
     items.append(make_item("hurwitz/2 = 2*2 - [1+1]", 1.0, float(mero.riemann_hurwitz_check(bd, 2, 2)), 0.5))
     items.append(make_item("hurwitz/total branching index even", 0.0, float(bd.total_b % 2), 0.0))
     items.append(make_item("hurwitz/odd-b rejected", 0.0, float(mero.riemann_hurwitz_check(mero.BranchData(2, ((0.5 + 0j, 2),)), 2, 2)), 0.0))
 
     generic = mero.preimages(rmap, 1 + 1j)
     items.append(make_item("zetahat/generic preimage count = 2", 2.0, float(len(generic)), 0.0))
-    branch_val = mero.evaluate(rmap, 0.5 + 0j)
-    items.append(make_item("zetahat/preimages of zetahat(1/2) = 1", 1.0, float(len(mero.preimages(rmap, branch_val))), 0.0))
+    items.append(make_item("zetahat/preimages of zetahat(1/2) = 1", 1.0, float(len(mero.preimages(rmap, pointed))), 0.0))
     items.append(make_item("zetahat/preimages of zetahat(inf) = 1", 1.0, float(len(mero.preimages(rmap, mero.evaluate(rmap, sphere.INFINITY)))), 0.0))
 
     numerator = mero.derivative(rmap)

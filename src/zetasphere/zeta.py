@@ -147,8 +147,10 @@ def _accel_coeffs(n: int):
 
 def _eta_weights(s: complex):
     """The weights and the log-weighted weights of eta's accelerated sum at
-    a finite s, after the domain and term-cap checks; the term count depends
-    on Im s alone."""
+    a finite s, after the domain and term-cap checks.  The term count
+    depends on |Im s| alone, so the cap's ConvergenceError names |Im s|:
+    zeta and the completed zeta sum at 1 - s left of the line, and 1 - s
+    and s share it."""
     if s.real <= 0:
         raise DomainError(f"eta series requires Re(s) > 0, got {s}")
     t_abs = abs(s.imag)
@@ -156,7 +158,7 @@ def _eta_weights(s: complex):
     # the cap is checked on the float, whose int() overflows: it is inf from
     # |Im s| ~ 1.15e308
     if n + 8 > _ETA_MAX_TERMS:
-        raise ConvergenceError(f"eta at {s} needs {n + 8:.3g} accelerated terms > {_ETA_MAX_TERMS}")
+        raise ConvergenceError(f"eta at |Im s| = {t_abs:.6g} needs {n + 8:.3g} accelerated terms > {_ETA_MAX_TERMS}")
     # 8 spare terms, rounded up to a multiple of 32, which keeps
     # _accel_coeffs' cache small
     return _accel_coeffs(((int(n) + 8 + 31) // 32) * 32)

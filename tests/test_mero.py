@@ -149,6 +149,44 @@ class TestEvaluate:
         assert abs(complex(value) - COMPLETED_HALF) <= 4 * 2.3e-16 * abs(COMPLETED_HALF)
 
 
+# 2 (z - i)^2 / (z (z - 1)): a double zero, balanced, 2 at infinity
+DOUBLE_ZERO = RationalMap(2, zeros=((1j, 2),), poles=((0j, 1), (1 + 0j, 1)))
+
+
+@pytest.mark.filterwarnings("error")
+class TestEvaluateFarOut:
+    # the factored product overflows from ~1e154 for the double zero and
+    # ~2e155 for zeta-hat, though the value does not
+    @pytest.mark.parametrize("z", [1e154, 1e200, 1e300, complex(1.3e308, 1.3e308)], ids=str)
+    def test_balanced_maps_reach_their_value_at_infinity(self, z):
+        for f in (zeta_hat_default()[0], DOUBLE_ZERO):
+            at_infinity = evaluate(f, INFINITY)
+            assert abs(evaluate(f, z) - at_infinity) <= 1e-15 * abs(at_infinity)
+
+    def test_more_poles_than_zeros_goes_to_zero(self):
+        # 1.5 (z - w) / ((z - 2i)^2 (z + 3)) ~ 1.5 / z^2
+        f = RationalMap(1.5, zeros=((0.5 + 0.5j, 1),), poles=((2j, 2), (-3 + 0j, 1)))
+        assert evaluate(f, 1e100) == pytest.approx(1.5e-200, rel=1e-15)
+        assert evaluate(f, 1e200) == 0
+
+    def test_value_past_double_range_is_a_domain_error(self):
+        # three more zeros than poles: ~z^3 = 1e600
+        f = RationalMap(1, zeros=((1j, 2), (3 + 0j, 1)))
+        with pytest.raises(DomainError, match=r"evaluate at s = \(1e\+200\+0j\) leaves double range"):
+            evaluate(f, 1e200)
+
+    def test_next_to_a_double_pole_is_a_domain_error(self):
+        # (z - p)^2 underflows to 0 at 1e-200 from the pole: ~1e400
+        f = RationalMap(2, zeros=((1j, 2),), poles=((1e-200 + 0j, 2),))
+        with pytest.raises(DomainError, match="leaves double range"):
+            evaluate(f, 2e-200)
+
+    def test_non_finite_argument_is_a_domain_error(self):
+        # the point at infinity is INFINITY, not a complex infinity
+        with pytest.raises(DomainError, match="evaluate needs a finite argument"):
+            evaluate(zeta_hat_default()[0], complex("inf"))
+
+
 class TestPartialFractions:
     def test_one_over_z(self):
         f = RationalMap(constant=1 + 0j, poles=((0j, 1),))

@@ -8,7 +8,6 @@ from zetasphere import modulus
 from zetasphere.errors import DomainError, PoleError
 from zetasphere.modulus import (
     ModulusBreakdown,
-    asymptotic_suite,
     central_dx,
     criterion_ratio,
     f_abs_closed,
@@ -19,6 +18,7 @@ from zetasphere.modulus import (
 )
 from zetasphere.report import DISCREPANCY, PASS
 from zetasphere.specfun import gamma
+from zetasphere.verify import suite_modulus
 from zetasphere.zeta import zeta_eval
 
 from reference_values import ZERO_ORDINATES
@@ -189,9 +189,15 @@ class TestCriterion:
             criterion_ratio(1.5 + 2j)
 
 
+def asymptotic_suite():
+    """The small-|s| probes, the asymptotic/ items of the modulus suite."""
+    return [it for it in suite_modulus() if it.name.startswith("asymptotic/")]
+
+
 class TestAsymptoticSuite:
     def test_items_pass(self):
         items = asymptotic_suite()
+        assert len(items) == 8
         assert all(it.status == PASS for it in items), [it for it in items if it.status != PASS]
 
     def test_product_probe_hits_half_at_finest_eps(self):

@@ -1,14 +1,17 @@
 """Refusals shared across the evaluators: the integer-lattice box of
 POLE_WINDOW, in which Gamma, psi, f, the reflection, zeta, the completed
-zeta and zeta's Laurent series refuse, and the exit at the end of double
-range."""
+zeta and zeta's Laurent series refuse, the exit at the end of double
+range, the eta term cap on the reflected route, and the argument checks of
+the zero refiner, the divisor and sphere types and the Bernoulli numbers."""
 
 import math
 
 import pytest
 
-from zetasphere.errors import DomainError, PoleError, ZetasphereError
+from zetasphere.errors import ConvergenceError, DomainError, InsufficientOrdinates, PoleError, ZetasphereError
+from zetasphere.mero import BranchData, Divisor, RationalMap
 from zetasphere.modulus import gamma_abs_dx
+from zetasphere.sphere import sector_retraction
 from zetasphere.specfun import (
     POLE_WINDOW,
     digamma,
@@ -18,8 +21,9 @@ from zetasphere.specfun import (
     psi_pair_series,
     reflection_residual,
 )
-from zetasphere.zeros import theta
+from zetasphere.zeros import refine_zero, theta
 from zetasphere.zeta import (
+    bernoulli_exact,
     completed_zeta,
     f_factor,
     functional_rhs,
@@ -138,3 +142,38 @@ FAR_FUNCTIONS = [
 def test_both_parts_far_out_is_typed(function, s):
     with pytest.raises(ZetasphereError):
         function(s)
+
+
+# left of the line zeta and the completed zeta sum eta at 1 - s; the cap
+# depends on |Im s| alone, so its message names that, not 1 - s
+@pytest.mark.parametrize(
+    "function, s",
+    [(zeta_eval, complex(-1, 1.2e7)), (completed_zeta, complex(-1, 1.2e7)), (completed_zeta, complex(-1.5e308, -1.7e308))],
+    ids=["zeta_eval", "completed_zeta", "completed_zeta-far"],
+)
+def test_reflected_refusal_names_no_reflected_point(function, s):
+    with pytest.raises(ConvergenceError) as exc:
+        function(s)
+    assert repr(1 - s) not in str(exc.value)
+
+
+# argument checks that raise the typed error at once
+@pytest.mark.parametrize(
+    "function, args, error",
+    [
+        (refine_zero, ((14.3, 14.0),), DomainError),
+        (Divisor, ({1j: 1.5},), DomainError),
+        (RationalMap, (1, ((1j, 1.5),)), DomainError),
+        (RationalMap, (1, (), ((1j, 0),)), DomainError),
+        (BranchData, (2, ((0j, 1),)), DomainError),
+        (sector_retraction, (0.5 + 1j, [-1.0, 2.0]), InsufficientOrdinates),
+        (bernoulli_exact, (-1,), DomainError),
+    ],
+    ids=[
+        "refine_zero-decreasing", "Divisor-fraction", "RationalMap-fractional-zero", "RationalMap-zero-pole-order",
+        "BranchData-unramified", "sector_retraction-negative", "bernoulli_exact-negative",
+    ],
+)
+def test_invalid_argument_is_typed(function, args, error):
+    with pytest.raises(error):
+        function(*args)

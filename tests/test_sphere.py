@@ -211,3 +211,34 @@ class TestAccumulation:
 
     def test_chordal_distance_symmetry(self):
         assert chordal_distance(1j, 3 - 2j) == chordal_distance(3 - 2j, 1j)
+
+
+@pytest.mark.filterwarnings("error")
+class TestFarOut:
+    # |z|^2 overflows from |z| ~ 1.34e154 and 2 |z|^2 from ~9.5e153
+
+    @pytest.mark.parametrize("z", [1e154, 1e200, complex(-1e300, 1e300)], ids=str)
+    def test_distance_to_infinity(self, z):
+        # 4 / sqrt(4 + |z|^2), taken as (4 / |z|) / sqrt(1 + (2 / |z|)^2)
+        r = abs(z)
+        expected = 4 / r / math.sqrt(1 + (2 / r) ** 2)
+        assert chordal_distance(z, INFINITY) == pytest.approx(expected, rel=1e-12)
+
+    def test_far_gaps_strictly_decreasing(self):
+        gaps = accumulation_gaps([1.0, 1e160, 1e200, 1e300])
+        assert all(b < a for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] > 0
+
+    def test_lift_past_the_range_of_abs(self):
+        # both parts past ~1.27e308, where |z| itself overflows
+        p = stereo_lift(complex(1.3e308, 1.3e308))
+        assert all(math.isfinite(x) for x in (p.z0.real, p.z0.imag, p.w0))
+        assert p.w0 == 2.0
+        # |z0| = 4 / |z| = 1 / |z / 4|
+        assert abs(p.z0) == pytest.approx(1 / math.hypot(1.3e308 / 4, 1.3e308 / 4), rel=1e-15)
+
+    def test_lift_continuous_where_the_route_changes(self):
+        below, above = stereo_lift(9.4e153), stereo_lift(9.6e153)
+        assert above.w0 == below.w0 == 2.0
+        assert below.z0.real == pytest.approx(4 / 9.4e153, rel=1e-15)
+        assert above.z0.real == pytest.approx(4 / 9.6e153, rel=1e-15)

@@ -443,19 +443,30 @@ def critical_points(f: RationalMap) -> list[tuple[complex, int]]:
 
 def preimages(f: RationalMap, w: ExtendedPoint) -> list[tuple[ExtendedPoint, int]]:
     """Solutions of f(s) = w with multiplicity, infinity included.  Those of
-    0 and infinity are the stored zeros and poles."""
+    0 and infinity are the stored zeros and poles; any other w solves
+    N - wD = 0, or N/w - D = 0 where N - wD or its roots leave double range.
+    DomainError for a NaN or infinite complex w, and where both forms fail."""
     if is_infinity(w):
         found, at_infinity = f.poles, f.zero_count - f.pole_count
     elif w == 0:
         found, at_infinity = f.zeros, f.pole_count - f.zero_count
     else:
+        w = finite_argument(w, "preimages")
         num = _poly_from_roots(f.zeros, lead=complex(f.constant))
         den = _poly_from_roots(f.poles)
         width = max(len(num), len(den))
         num = np.pad(num, (0, width - len(num)))
         den = np.pad(den, (0, width - len(den)))
-        poly = _poly_trim(num - complex(w) * den, tol=1e-14)
-        found = _roots(poly)
+        for form in (lambda: num - w * den, lambda: num / w - den):
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    poly = _poly_trim(form(), tol=1e-14)
+                    found = _roots(poly)
+                break
+            except (FloatingPointError, np.linalg.LinAlgError):
+                pass
+        else:
+            raise DomainError(f"preimages of w = {w} leave double range")
         at_infinity = f.degree - (len(poly) - 1)
     out: list[tuple[ExtendedPoint, int]] = [(complex(a), m) for a, m in found]
     if at_infinity > 0:

@@ -12,13 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError
-from .specfun import ROOT_FIRST_PI_Y, exp_in_range, gamma, in_range, psi_pair
-# f_factor is not called here: the tests import it from here, and verify
-# calls it as modulus.f_factor, which perfbench/spans.py times
+from .errors import DomainError, PoleError
+from .specfun import ROOT_FIRST_PI_Y, exp_in_range, gamma, in_range, lattice_point, psi_pair
+# zeta_eval is not called here: perfbench/spans.py patches modulus.zeta_eval
 from .zeta import f_factor, zeta_eval
 
-CRITERION_SAMPLES = 8
 # radius of the criterion circle: the O(radius^2) surrogate error stays well
 # inside the 1e-6 contract
 CRITERION_RADIUS = 1e-4
@@ -119,44 +117,35 @@ def f_abs_product(s: complex) -> float:
 
 
 def criterion_ratio(s0: complex) -> float:
-    """Mean of |zeta(s)| / |zeta(1-s)| over a small circle about s0.
+    """Mean of |zeta(s)| / |zeta(1-s)| over a small circle about s0, taken
+    from f without evaluating zeta.
 
     The limit surrogate for the on-the-critical-line criterion: the mean
     equals |f(s0)| up to O(radius^2), radius = CRITERION_RADIUS.  The
-    samples are s0 + radius U[j] over the exact eighth roots of unity U,
-    and |zeta(1-s)| is taken as |zeta(1 - conj s)| (Schwarz reflection)
-    at mirror + radius U[(4 - j) % 8], mirror = 1 - conj s0.  On the line
-    mirror == s0, so the two circles are one: the samples j = 2 and 6 are
-    their own reflection and add exactly 1 without evaluating zeta, and the
-    ratio costs 6 zeta evaluations, not 16.  DomainError naming the point
-    where a denominator's |zeta| is 0.
-
-    Near the line the ratio is the mean of |f(s)| (samples left of it) and
-    1/|f(1 - conj s)| (right of it) by construction: zeta_eval takes Re s <
-    1/2 as f(s) zeta(1 - s), so zeta cancels.  It shows |f| = 1 there, not
-    that zeta vanishes.
+    samples are s0 + radius U[j] over the exact eighth roots of unity U.
+    zeta_eval takes Re s < 1/2 as f(s) zeta(1 - s), so a sample left of the
+    line gives |f(s)| and one right of it 1/|f(1 - conj s)|, at mirror +
+    radius U[(4 - j) % 8], mirror = 1 - conj s0: f is never taken right of
+    the line, where Gamma(1 - s) costs accuracy.  On the line the samples
+    j = 2 and 6 are their own mirror and add exactly 1.  PoleError at 1
+    where a sample lies in the lattice box of 0 or 1, as zeta's pole is
+    then the sample or its mirror.  Near the line the ratio shows |f| = 1,
+    not that zeta vanishes.
     """
     s0 = complex(s0)
     _require_strip(s0, "criterion_ratio")
     mirror = complex(1.0 - s0.real, s0.imag)
-    moduli: dict[complex, float] = {}
-
-    def modulus_at(s: complex) -> float:
-        if s not in moduli:
-            moduli[s] = abs(zeta_eval(s))
-        return moduli[s]
-
     total = 0.0
     for j, u in enumerate(_UNIT_ROOTS):
         s = s0 + CRITERION_RADIUS * u
+        if lattice_point(s) in (0, 1):
+            raise PoleError(1.0, residue=1.0)
         # 1 - conj(s0 + radius u) = mirror + radius (-conj u)
         reflected = mirror + CRITERION_RADIUS * _UNIT_ROOTS[(4 - j) % 8]
         if s == reflected:
             total += 1.0
-            continue
-        denominator = modulus_at(reflected)
-        if denominator == 0:
-            raise DomainError(f"criterion_ratio at s0 = {s0}: |zeta| is 0 at {reflected}")
-        total += modulus_at(s) / denominator
-    return total / CRITERION_SAMPLES
-
+        elif s.real < 0.5:
+            total += abs(f_factor(s))
+        else:
+            total += 1.0 / abs(f_factor(reflected))
+    return total / len(_UNIT_ROOTS)

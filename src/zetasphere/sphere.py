@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import BoundaryPoint, DomainError, InsufficientOrdinates, InvalidSpherePoint
+from .specfun import finite_argument
 
 CONSTRAINT_BOUND = 1e-10
 CR_STEP = 1e-6  # central-difference step of cr_residual
@@ -76,7 +77,8 @@ def stereo_project(p: SpherePoint) -> ExtendedPoint:
 
 def stereo_lift(z: ExtendedPoint) -> SpherePoint:
     """The unique sphere point projecting to z, finite for every finite z;
-    infinity lifts to (0, 2).
+    infinity lifts to (0, 2), and a NaN or infinite complex z is a
+    DomainError.
 
     z0 = 4 z / (4 + |z|^2) and w0 = 2 |z|^2 / (4 + |z|^2), until 2 |z|^2
     overflows (|z| ~ 9.5e153); past that through q = 2 / |z|:
@@ -85,7 +87,7 @@ def stereo_lift(z: ExtendedPoint) -> SpherePoint:
     """
     if is_infinity(z):
         return NORTH_POLE
-    z = complex(z)
+    z = finite_argument(z, "stereo_lift")
     half = 0.5 * z
     r_half = abs(half)
     if r_half < _HALF_LIFT_MAX:
@@ -99,7 +101,8 @@ def stereo_lift(z: ExtendedPoint) -> SpherePoint:
 def chordal_distance(a: ExtendedPoint, b: ExtendedPoint) -> float:
     """Euclidean distance in R^3 between the stereographic lifts, by
     math.hypot, so tiny differences do not underflow when squared (the
-    distance from z to infinity is 4 / sqrt(4 + |z|^2))."""
+    distance from z to infinity is 4 / sqrt(4 + |z|^2)).  DomainError, from
+    stereo_lift, for a NaN or infinite complex point."""
     pa, pb = stereo_lift(a), stereo_lift(b)
     dz = pa.z0 - pb.z0
     return math.hypot(dz.real, dz.imag, pa.w0 - pb.w0)
@@ -107,8 +110,9 @@ def chordal_distance(a: ExtendedPoint, b: ExtendedPoint) -> float:
 
 def covering_a(z: complex) -> CoverPoint:
     """(x + iy) -> (x, y mod 1): the covering with fiber Z, phase measured
-    as the fraction of the 2 pi angle on the circle through x and infinity."""
-    z = complex(z)
+    as the fraction of the 2 pi angle on the circle through x and infinity.
+    DomainError for a NaN or infinite z."""
+    z = finite_argument(z, "covering_a")
     return CoverPoint(x0=z.real, phase=z.imag % 1.0)
 
 

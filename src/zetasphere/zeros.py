@@ -64,7 +64,8 @@ THETA_SERIES_FROM = 10.0
 class ZeroRecord:
     """A located critical-line zero: its ordinate t (zero at 1/2 + it),
     the final refinement bracket, whose width is the ordinate's uncertainty,
-    and the criterion-ratio value (1 exactly when the zero sits on the line)."""
+    and the criterion ratio there, |f| over a small circle about the zero,
+    which is 1 within 1e-6 on the line."""
 
     ordinate: float
     bracket: tuple[float, float]
@@ -173,7 +174,9 @@ def refine_zero(
 
 
 def scan_zeros(t0: float, t1: float, step: float) -> list[ZeroRecord]:
-    """Detect and refine all sign changes of Z on the grid t0, t0+step, ...
+    """Detect and refine all sign changes of Z on the grid t0, t0+step, ...,
+    which ends at t1: where t1 is not a whole number of steps past t0, a last
+    cell shorter than step ends there.
 
     A grid point where Z is exactly 0 opens the bracket to its right
     neighbour only; refinement then returns that point itself.  The grid's
@@ -185,10 +188,12 @@ def scan_zeros(t0: float, t1: float, step: float) -> list[ZeroRecord]:
     if not 0.01 <= step <= 1.0:
         raise DomainError("scan step must lie in [0.01, 1]")
     n_steps = int(math.floor((t1 - t0) / step + 1e-9))
+    grid = [t0 + i * step for i in range(1, n_steps + 1)]
+    if t1 - (t0 + n_steps * step) > 1e-9 * step:
+        grid.append(t1)
     brackets = []
     prev_t, prev_v = t0, hardy_z(t0)
-    for i in range(1, n_steps + 1):
-        t = t0 + i * step
+    for t in grid:
         v = hardy_z(t)
         if prev_v == 0.0 or prev_v * v < 0:
             brackets.append(((prev_t, t), (prev_v, v)))

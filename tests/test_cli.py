@@ -162,6 +162,14 @@ class TestZeros:
         rows = [l for l in proc.stdout.splitlines() if l and not l.startswith(("#", "ordinate"))]
         assert rows == []
 
+    def test_a_short_last_cell_is_scanned(self):
+        # 14.1347 lies past the last whole step, 14.0, below --to
+        proc = run_cli("zeros", "--from", "0", "--to", "14.2")
+        assert proc.returncode == 0
+        rows = [l for l in proc.stdout.splitlines() if l and not l.startswith(("#", "ordinate"))]
+        assert len(rows) == 1
+        assert rows[0].startswith("14.134725")
+
     def test_json_output(self, tmp_path):
         out = tmp_path / "zeros.json"
         run_cli("zeros", "--from", "10", "--to", "22", "--step", "0.25", "--out", str(out))

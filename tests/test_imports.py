@@ -13,7 +13,7 @@ MODULES = sorted(p.stem for p in SOURCE.glob("*.py") if p.stem != "__init__")
 KEPT = {
     ("zeros", "completed_zeta"): "perfbench/spans.py WRAPPED patches zeros.completed_zeta",
     ("verify", "functional_rhs"): "perfbench/spans.py WRAPPED patches verify.functional_rhs",
-    ("modulus", "f_factor"): "the acceptance tests import it from modulus; perfbench/spans.py WRAPPED patches it",
+    ("modulus", "zeta_eval"): "perfbench/spans.py WRAPPED patches modulus.zeta_eval",
 }
 
 

@@ -317,6 +317,21 @@ class TestPreimages:
         pre = preimages(rmap, rmap.constant)
         assert len(pre) == 1 and is_infinity(pre[0][0]) and pre[0][1] == 2
 
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            (complex("nan"), "preimages needs a finite argument"),
+            (complex("inf"), "preimages needs a finite argument"),
+            # N - wD is finite here, but its roots' companion matrix is not,
+            # and N/w overflows
+            (complex(1e308, 1e308), r"preimages of w = \(1e\+308\+1e\+308j\) leave double range"),
+        ],
+        ids=str,
+    )
+    def test_a_value_out_of_reach_is_a_domain_error(self, w, message):
+        with pytest.raises(DomainError, match=message):
+            preimages(zeta_hat_default()[0], w)
+
     def test_zero_preimages_are_zeros(self):
         # a repeated zero, which the roots of a coefficient form would split
         # into five points up to 1.5e-3 apart

@@ -237,6 +237,19 @@ class TestFarOut:
         # |z0| = 4 / |z| = 1 / |z / 4|
         assert abs(p.z0) == pytest.approx(1 / math.hypot(1.3e308 / 4, 1.3e308 / 4), rel=1e-15)
 
+    @pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex("infj")], ids=str)
+    def test_a_non_finite_complex_is_a_domain_error(self, z):
+        # the point at infinity is INFINITY, which still lifts to the north pole
+        with pytest.raises(DomainError, match="stereo_lift needs a finite argument"):
+            stereo_lift(z)
+        with pytest.raises(DomainError, match="stereo_lift needs a finite argument"):
+            chordal_distance(z, 0)
+        with pytest.raises(DomainError, match="stereo_lift needs a finite argument"):
+            chordal_distance(INFINITY, z)
+        with pytest.raises(DomainError, match="covering_a needs a finite argument"):
+            covering_a(z)
+        assert stereo_lift(INFINITY) == NORTH_POLE
+
     def test_lift_continuous_where_the_route_changes(self):
         below, above = stereo_lift(9.4e153), stereo_lift(9.6e153)
         assert above.w0 == below.w0 == 2.0

@@ -203,6 +203,24 @@ class TestScan:
         for rec, ordinate in zip(records, expected):
             assert abs(rec.ordinate - ordinate) <= zeros.BRACKET_TOLERANCE
 
+    @pytest.mark.parametrize(
+        "t0, t1, step, count", [(0.0, 14.2, 0.25, 1), (0.0, 21.1, 1.0, 2), (14.0, 14.2, 0.25, 1)]
+    )
+    def test_a_last_cell_shorter_than_the_step_ends_at_t1(self, t0, t1, step, count):
+        # 14.1347 lies in the last, short cell of each scan
+        records = scan_zeros(t0, t1, step)
+        assert len(records) == count
+        assert records[0].ordinate == pytest.approx(ZERO_ORDINATES[0], abs=1e-6)
+
+    def test_a_whole_step_scan_adds_no_grid_point(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(zeros, "hardy_z", lambda t: calls.append(t) or 1.0)
+        scan_zeros(0.1, 0.7, 0.1)
+        assert calls == [0.1 + i * 0.1 for i in range(7)]
+        calls.clear()
+        scan_zeros(0.1, 0.75, 0.1)
+        assert calls == [0.1 + i * 0.1 for i in range(7)] + [0.75]
+
     def test_range_validation(self):
         with pytest.raises(DomainError):
             scan_zeros(-1.0, 10.0, 0.25)

@@ -263,6 +263,24 @@ def main():
         print("    %s," % fmt(t))
     print(")")
     print("GAP_1_2 =", fmt(ords[1] - ords[0]))
+    # the finite critical points of the map with zeros 1/2 +- i t_n at the
+    # ten ordinates above (as doubles) and poles 0 and 1: the roots of
+    # sum w_i / (z - a_i), started from mpmath's roots of its numerator
+    points = [(mp.mpc(0.5, sign * float(fmt(t))), 1) for t in ords for sign in (1, -1)]
+    points += [(mp.mpc(0), -1), (mp.mpc(1), -1)]
+    numerator = [mp.mpc(0)] * len(points)
+    for i, (_, w) in enumerate(points):
+        term = [mp.mpc(w)]
+        for a, _ in points[:i] + points[i + 1 :]:
+            term = [-a * term[0]] + [term[k - 1] - a * term[k] for k in range(1, len(term))] + [term[-1]]
+        numerator = [c + d for c, d in zip(numerator, term + [0])]
+    log_derivative = lambda z: mp.fsum(w / (z - a) for a, w in points)
+    starts = mp.polyroots(numerator[::-1], maxsteps=200, extraprec=200)
+    crit = [mp.chop(mp.findroot(log_derivative, z0), mp.mpf(10) ** -30) for z0 in starts]
+    print("CRITICAL_POINTS_TEN_PAIRS = (")
+    for z in sorted(crit, key=lambda z: (z.real, z.imag)):
+        print("    complex(%s, %s)," % (fmt(z.real), fmt(z.imag)))
+    print(")")
 
     print("# zeta-hat constants")
     c_paper = (mp.mpf("0.05438") / 100) * 100 / (4 * mp.mpf("14.1347") ** 2)

@@ -16,15 +16,13 @@ from .mero import Divisor
 from .report import VerificationItem, make_item
 from .sphere import is_infinity
 
-DEFAULT_STRIP_MARGIN = 0.1
-
 
 @dataclass(frozen=True)
 class FlowParams:
     """Sub-strip abscissa a (boundaries x = a and x = 1-a) and flow time t."""
 
-    a: float = DEFAULT_STRIP_MARGIN
-    t: float = 0.0
+    a: float
+    t: float
 
     def __post_init__(self):
         if not 0.0 < self.a < 0.5:

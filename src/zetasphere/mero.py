@@ -11,6 +11,7 @@ preimages of other values.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -26,6 +27,7 @@ ROOT_MATCH_TOL = 1e-9
 # is redone exactly: its error, some ulps of the parts, would exceed ~1e-12
 # relative
 CANCELLATION_LIMIT = 1024.0
+TRIM_ROUNDING = 64 * 2.0**-52  # 64 ulps of a coefficient's bound, see _poly_trim
 
 
 # ---------------------------------------------------------------------------
@@ -114,20 +116,16 @@ class RationalMap:
     def __post_init__(self):
         if self.constant == 0:
             raise DomainError("RationalMap constant must be nonzero")
-        for _, h in self.zeros + self.poles:
+        points = [(a, h, True) for a, h in self.zeros] + [(b, k, False) for b, k in self.poles]
+        for i, (a, h, a_is_zero) in enumerate(points):
             if h < 1 or not isinstance(h, int):
                 raise DomainError("multiplicities must be positive integers")
-        for z, _ in self.zeros:
-            for p, _ in self.poles:
-                if abs(complex(z) - complex(p)) < ROOT_MATCH_TOL:
-                    raise DomainError(f"point {z} appears among both zeros and poles")
-        for group in (self.zeros, self.poles):
-            for i, (a, _) in enumerate(group):
-                for b, _ in group[i + 1 :]:
-                    if abs(complex(a) - complex(b)) < ROOT_MATCH_TOL:
-                        raise DomainError(
-                            f"repeated point {a}; express repetition through multiplicity"
-                        )
+            for b, _, b_is_zero in points[i + 1 :]:
+                if abs(complex(a) - complex(b)) < ROOT_MATCH_TOL:
+                    raise DomainError(
+                        f"point {a} appears among both zeros and poles" if a_is_zero != b_is_zero
+                        else f"repeated point {a}; express repetition through multiplicity"
+                    )
 
     @property
     def zero_count(self) -> int:
@@ -255,10 +253,11 @@ def _poly_from_roots(roots: Iterable[tuple[complex, int]], lead: complex = 1.0 +
     return coeffs
 
 
-def _poly_trim(coeffs: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    scale = max(np.abs(coeffs).max(), 1.0)
+def _poly_trim(coeffs: np.ndarray, bound) -> np.ndarray:
+    """coeffs less the top ones within TRIM_ROUNDING of ``bound``, the same sums
+    over the magnitudes of their terms, which bounds their rounding (Higham 2002)."""
     keep = len(coeffs)
-    while keep > 1 and abs(coeffs[keep - 1]) <= tol * scale:
+    while keep > 1 and abs(coeffs[keep - 1]) <= TRIM_ROUNDING * bound[keep - 1]:
         keep -= 1
     return coeffs[:keep]
 
@@ -401,13 +400,15 @@ def _log_derivative_numerator(f: RationalMap) -> np.ndarray:
     """Ascending coefficients of Q = sum_i w_i prod_{j != i} (z - a_j) over
     the distinct zeros and poles a_i, w_i = h_i at a zero and -k_i at a pole,
     so that f'/f = Q / prod (z - a_i).  Q(a_i) = w_i prod_{j != i} (a_i - a_j)
-    is never 0."""
+    is never 0.  Sum |w_i| times the z^(k+1) coefficient of prod (z + |a_j|)
+    bounds the terms of its z^k coefficient."""
     points = [(complex(z), h) for z, h in f.zeros] + [(complex(p), -k) for p, k in f.poles]
     q = np.zeros(max(len(points), 1), dtype=complex)
     for i, (_, w) in enumerate(points):
         term = _poly_from_roots([(a, 1) for j, (a, _) in enumerate(points) if j != i], lead=complex(w))
         q[: len(term)] += term
-    return _poly_trim(q, tol=1e-13)
+    magnitudes = _poly_from_roots([(-abs(a), 1) for a, _ in points], lead=sum(abs(w) for _, w in points))
+    return _poly_trim(q, magnitudes[1:])
 
 
 def derivative(f: RationalMap) -> tuple[complex, ...]:
@@ -436,7 +437,9 @@ def _roots(coeffs: np.ndarray) -> list[tuple[complex, int]]:
 
 def critical_points(f: RationalMap) -> list[tuple[complex, int]]:
     """Finite critical points with multiplicity: a zero of order h >= 2
-    exactly h - 1 times, then the roots of the log-derivative numerator Q."""
+    exactly h - 1 times, then the roots of the log-derivative numerator Q.
+    In coefficient form these hold to ~1e-11 relative for zeta's first ten
+    zero pairs with poles 0 and 1, to ~5e-5 for twenty, not for forty."""
     out = [(complex(z), h - 1) for z, h in f.zeros if h >= 2]
     return out + _roots(_log_derivative_numerator(f))
 
@@ -444,29 +447,26 @@ def critical_points(f: RationalMap) -> list[tuple[complex, int]]:
 def preimages(f: RationalMap, w: ExtendedPoint) -> list[tuple[ExtendedPoint, int]]:
     """Solutions of f(s) = w with multiplicity, infinity included.  Those of
     0 and infinity are the stored zeros and poles; any other w solves
-    N - wD = 0, or N/w - D = 0 where N - wD or its roots leave double range.
-    DomainError for a NaN or infinite complex w, and where both forms fail."""
+    (N - wD)/s = 0, s <= max(|Re w|, |Im w|, 1) < 2s an exact power of two,
+    trimmed within rounding of |N/s| + |w/s| |D|.  DomainError for a NaN or
+    infinite complex w, and where N/s or the roots leave double range."""
     if is_infinity(w):
         found, at_infinity = f.poles, f.zero_count - f.pole_count
     elif w == 0:
         found, at_infinity = f.zeros, f.pole_count - f.zero_count
     else:
         w = finite_argument(w, "preimages")
-        num = _poly_from_roots(f.zeros, lead=complex(f.constant))
-        den = _poly_from_roots(f.poles)
-        width = max(len(num), len(den))
-        num = np.pad(num, (0, width - len(num)))
-        den = np.pad(den, (0, width - len(den)))
-        for form in (lambda: num - w * den, lambda: num / w - den):
-            try:
-                with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    poly = _poly_trim(form(), tol=1e-14)
-                    found = _roots(poly)
-                break
-            except (FloatingPointError, np.linalg.LinAlgError):
-                pass
-        else:
-            raise DomainError(f"preimages of w = {w} leave double range")
+        s = math.ldexp(1.0, math.frexp(max(abs(w.real), abs(w.imag), 1.0))[1] - 1)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                parts = (_poly_from_roots(f.zeros, complex(f.constant) / s), _poly_from_roots(f.poles),
+                         _poly_from_roots([(-abs(z), h) for z, h in f.zeros], abs(f.constant) / s),
+                         _poly_from_roots([(-abs(p), k) for p, k in f.poles], 1.0))
+                num, den, num_bound, den_bound = (np.pad(c, (0, f.degree + 1 - len(c))) for c in parts)
+                poly = _poly_trim(num - w / s * den, num_bound + abs(w / s) * den_bound)
+                found = _roots(poly)
+        except (FloatingPointError, OverflowError, np.linalg.LinAlgError):
+            raise DomainError(f"preimages of w = {w} leave double range") from None
         at_infinity = f.degree - (len(poly) - 1)
     out: list[tuple[ExtendedPoint, int]] = [(complex(a), m) for a, m in found]
     if at_infinity > 0:

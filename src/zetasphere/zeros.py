@@ -307,17 +307,13 @@ def count_zeros_rectangle(rect: Rectangle) -> int:
             if abs(nearest - pole) < max(POLE_WINDOW, deepest / (2 * math.tan(math.pi / 8))):
                 raise PoleError(pole)
     cache: dict[complex, tuple[complex, complex]] = {}
-    rows = {rect.y_min: None, rect.y_max: None}
+    rows = {y: zeta_log_logderiv_row(y) for y in (rect.y_min, rect.y_max)}
 
     def node(w: complex, mirrored: bool) -> tuple[complex, complex]:
         if w not in cache:
             try:
-                if w.imag in rows:
-                    if rows[w.imag] is None:
-                        rows[w.imag] = zeta_log_logderiv_row(w.imag)
-                    cache[w] = rows[w.imag](w.real)
-                else:
-                    cache[w] = zeta_log_logderiv(w)
+                row = rows.get(w.imag)
+                cache[w] = zeta_log_logderiv(w) if row is None else row(w.real)
             except DomainError as exc:
                 z = 1 - w.conjugate() if mirrored else w
                 raise DomainError(f"completed zeta has no log or log-derivative at s = {z}") from exc

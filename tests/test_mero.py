@@ -28,7 +28,13 @@ from zetasphere.sphere import INFINITY, is_infinity
 from zetasphere.verify import first_zero
 from zetasphere.zeta import completed_zeta
 
-from reference_values import C_COMPUTED_ANCHOR, C_PAPER_INPUTS, COMPLETED_HALF, ZERO_ORDINATES
+from reference_values import (
+    C_COMPUTED_ANCHOR,
+    C_PAPER_INPUTS,
+    COMPLETED_HALF,
+    CRITICAL_POINTS_TEN_PAIRS,
+    ZERO_ORDINATES,
+)
 
 T0 = ZERO_ORDINATES[0]
 
@@ -291,6 +297,16 @@ class TestDerivative:
         assert len(crit) == 1
         assert crit[0][0] == pytest.approx(point, abs=1e-12) and crit[0][1] == 1
 
+    def test_ten_zero_pairs_against_the_mint(self):
+        # 22 zeros and poles: Q's constant term, 1.4e30, dwarfs its top
+        # coefficient, 18, so each is trimmed by its own rounding bound
+        zeros = tuple((complex(0.5, sign * t), 1) for t in ZERO_ORDINATES for sign in (1, -1))
+        crit = critical_points(RationalMap(constant=1 + 0j, zeros=zeros, poles=((0j, 1), (1 + 0j, 1))))
+        assert len(crit) == len(CRITICAL_POINTS_TEN_PAIRS) == 21
+        assert all(m == 1 for _, m in crit)
+        for ref in CRITICAL_POINTS_TEN_PAIRS:
+            assert min(abs(z - ref) for z, _ in crit) < 1e-8, ref
+
     def test_repeated_pole_off_the_origin_is_not_critical(self):
         # (z - 1)/(z - 2)^4: only (4 - 2)/3 = 2/3; a coefficient form has a
         # triple root at the pole, which its roots scatter
@@ -322,15 +338,24 @@ class TestPreimages:
         [
             (complex("nan"), "preimages needs a finite argument"),
             (complex("inf"), "preimages needs a finite argument"),
-            # N - wD is finite here, but its roots' companion matrix is not,
-            # and N/w overflows
-            (complex(1e308, 1e308), r"preimages of w = \(1e\+308\+1e\+308j\) leave double range"),
         ],
         ids=str,
     )
     def test_a_value_out_of_reach_is_a_domain_error(self, w, message):
         with pytest.raises(DomainError, match=message):
             preimages(zeta_hat_default()[0], w)
+
+    def test_a_numerator_past_double_range_is_a_domain_error(self):
+        # N = (z - 1e200)^2 has the constant term 1e400
+        f = RationalMap(constant=1 + 0j, zeros=((1e200 + 0j, 2),))
+        with pytest.raises(DomainError, match=r"preimages of w = \(1\+0j\) leave double range"):
+            preimages(f, 1)
+
+    # N - wD and N/w - D both overflow in double arithmetic here;
+    # (N - wD)/s with s = 2^1023 keeps w/s below 2
+    @pytest.mark.parametrize("w", [complex(1e308, 1e308), complex(-1.7e308, 1.7e308)], ids=str)
+    def test_far_values_go_to_the_poles(self, w):
+        assert preimages(zeta_hat_default()[0], w) == [(0j, 1), (1 + 0j, 1)]
 
     def test_zero_preimages_are_zeros(self):
         # a repeated zero, which the roots of a coefficient form would split

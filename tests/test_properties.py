@@ -1,5 +1,6 @@
 """Randomized identity batteries (the 200-case properties)."""
 
+import cmath
 import math
 
 from hypothesis import example, given, settings, strategies as st
@@ -107,6 +108,57 @@ ramified_maps = st.builds(
 )
 
 
+def _spread_map(c, radius, angles, mults, n_zeros):
+    points = distinct_points([radius * cmath.exp(1j * a) for a in angles], min_gap=1e-3 * radius)
+    marked = [(p, mults[i]) for i, p in enumerate(points)]
+    return RationalMap(constant=c, zeros=tuple(marked[:n_zeros]), poles=tuple(marked[n_zeros:]))
+
+
+# up to 11 points on a circle of radius up to 10^3, where Q's constant term
+# ~ prod |a_j| dwarfs its top coefficients
+spread_maps = st.builds(
+    _spread_map,
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=5, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1, max_value=1e3),
+    st.lists(st.floats(min_value=0, max_value=2 * math.pi), min_size=3, max_size=11),
+    st.lists(st.integers(1, 3), min_size=11, max_size=11),
+    st.integers(0, 11),
+)
+
+
+def _mirrored_map(c, x0, radius, offsets, mults):
+    """k zero pairs x0 +- d_j and k pole pairs x0 +- e_j of the same
+    multiplicities, None where two points meet.  Q's top coefficient, sum
+    w_i, is 0 and the next, sum w_i a_i, is 0 only up to rounding; so is the
+    top of N - wD at w = f(inf)."""
+    k = len(offsets) // 2
+    points = [x0 + sign * radius * d for d in offsets[: 2 * k] for sign in (1, -1)]
+    if len(distinct_points(points, min_gap=1e-3 * radius)) < len(points):
+        return None
+    marked = [(p, mults[(i // 2) % k]) for i, p in enumerate(points)]
+    return RationalMap(constant=c, zeros=tuple(marked[: 2 * k]), poles=tuple(marked[2 * k :]))
+
+
+mirrored_maps = st.builds(
+    _mirrored_map,
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=5, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.sampled_from([1.0, 30.0, 1000.0]),
+    st.lists(st.builds(complex, st.floats(-1, 1), st.floats(-1, 1)), min_size=2, max_size=10),
+    st.lists(st.integers(1, 3), min_size=5, max_size=5),
+).filter(lambda f: f is not None)
+
+
+def _hurwitz_sum(f):
+    """The ramification over the finite critical points, the poles and
+    infinity; chi = 2 on both spheres, so it is 2 deg - 2."""
+    finite = sum(m for _, m in critical_points(f))
+    at_poles = sum(k - 1 for _, k in f.poles)
+    over_f_inf = preimages(f, evaluate(f, INFINITY))
+    e_inf = next((m for p, m in over_f_inf if is_infinity(p)), 1)
+    return finite + at_poles + e_inf - 1
+
+
 class TestGammaBatteries:
     @BATTERY
     @given(strip_points)
@@ -210,15 +262,19 @@ class TestDivisorBatteries:
     @BATTERY
     @given(ramified_maps)
     def test_riemann_hurwitz_over_the_sphere(self, f):
-        # chi = 2 on both spheres, so the ramification over the finite
-        # critical points, the poles and infinity sums to 2 deg - 2
         if f.degree == 0:
             return
-        finite = sum(m for _, m in critical_points(f))
-        at_poles = sum(k - 1 for _, k in f.poles)
-        over_f_inf = preimages(f, evaluate(f, INFINITY))
-        e_inf = next((m for p, m in over_f_inf if is_infinity(p)), 1)
-        assert finite + at_poles + e_inf - 1 == 2 * f.degree - 2
+        assert _hurwitz_sum(f) == 2 * f.degree - 2
+
+    @BATTERY
+    @given(spread_maps)
+    def test_riemann_hurwitz_with_points_spread_out(self, f):
+        assert _hurwitz_sum(f) == 2 * f.degree - 2
+
+    @BATTERY
+    @given(mirrored_maps)
+    def test_riemann_hurwitz_where_top_coefficients_cancel(self, f):
+        assert _hurwitz_sum(f) == 2 * f.degree - 2
 
 
 class TestSphereBatteries:
